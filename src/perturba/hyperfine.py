@@ -123,7 +123,8 @@ def pauli_operators() -> tuple[NDArray, NDArray, NDArray]:
         + np.kron(_SIGMA_Y, _SIGMA_Y)
         + np.kron(_SIGMA_Z, _SIGMA_Z)
     )
-    assert np.all(spin_dot.imag == 0.0)
+    if np.any(spin_dot.imag != 0.0):
+        raise RuntimeError("sigma_e . sigma_p has a nonzero imaginary entry")
     eye = np.eye(2)
     return spin_dot.real, np.kron(_SIGMA_Z.real, eye), np.kron(eye, _SIGMA_Z.real)
 
@@ -161,9 +162,16 @@ def build_problem(config: HyperfineConfig) -> PerturbationProblem:
 
     h0_coupled = (basis_int.T @ h0 @ basis_int) / rescale
     h1_coupled = (basis_int.T @ h1 @ basis_int) / rescale
-    assert np.all(h0_coupled == np.diag(np.diag(h0_coupled)))
+    if np.any(h0_coupled != np.diag(np.diag(h0_coupled))):
+        raise RuntimeError("the coupled basis does not diagonalize W sigma_e . sigma_p")
 
     return PerturbationProblem(e0=np.diag(h0_coupled).copy(), h1=h1_coupled)
+
+
+def _gaps(w: float, x):
+    """(exact, improved) = (sqrt(4W^2 + x^2), 2W + x^2/4W - x^4/(4W)^3), x = B mu_e."""
+    improved = 2.0 * w + x * x / (4.0 * w) - x**4 / (4.0 * w) ** 3
+    return np.sqrt(4.0 * w * w + x * x), improved
 
 
 def exact_eigensystem_closed_form(
@@ -187,7 +195,7 @@ def exact_eigensystem_closed_form(
     """
     w = config.constants.w_ev
     x = config.coupling_ev
-    s = np.sqrt(4.0 * w * w + x * x)
+    s = _gaps(w, x)[0]
     energies = np.array([w + x, -w + s, w - x, -w - s])
     vectors = np.eye(4)
     if x != 0.0:
@@ -230,10 +238,8 @@ def angular_rates(constants: PhysicalConstants, b_field):
     w = constants.w_ev
     hbar = constants.hbar_evs
     x = constants.mu_e_ev_per_tesla * np.asarray(b_field, dtype=np.float64)
-    exact = np.sqrt(4.0 * w * w + x * x) / hbar
-    improved = (2.0 * w + (x * x) / (4.0 * w) - x**4 / (4.0 * w) ** 3) / hbar
-    traditional = 2.0 * w / hbar
-    return exact, improved, traditional
+    exact, improved = _gaps(w, x)
+    return exact / hbar, improved / hbar, 2.0 * w / hbar
 
 
 def _normalized_triple(w: float, x, hbar: float, t):
@@ -241,9 +247,9 @@ def _normalized_triple(w: float, x, hbar: float, t):
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     u = (x * x) / (4.0 * w * w)
-    p_exact = np.sin(np.sqrt(4.0 * w * w + x * x) * t / hbar) ** 2 / (1.0 + u)
-    improved_gap = 2.0 * w + (x * x) / (4.0 * w) - x**4 / (4.0 * w) ** 3
-    p_improved = np.sin(improved_gap * t / hbar) ** 2
+    exact, improved = _gaps(w, x)
+    p_exact = np.sin(exact * t / hbar) ** 2 / (1.0 + u)
+    p_improved = np.sin(improved * t / hbar) ** 2
     # field-independent by construction: broadcasting replicates the same bits
     p_traditional = np.broadcast_to(
         np.sin(2.0 * w * t / hbar) ** 2, p_exact.shape

@@ -12,6 +12,11 @@ probability, while the amplitude denominator keeps the plain diagonal
 gap. All energy denominators below use the redivided diagonal d, which
 is what removes degeneracies lifted by diag(h1).
 
+The path sums are resolvent matrix products, for all levels at once. With
+R = diag(1 / (d_beta - d_b)), zero at b = beta and across degenerate gaps,
+G(2) = g1 R g1, G(3) = g1 R g1 R g1 and G(4) = g1 R g1 R g1 R g1 minus
+G(2) sum_b |g1[beta, b]|^2 R_b^2, each taken at [beta, beta].
+
 Everything is a pure function over immutable inputs; sweeps may evaluate
 these in parallel without coordination.
 """
@@ -24,7 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import hermitian
-from .errors import DegenerateDenominator, DimensionMismatch
+from .errors import DegenerateDenominator, DimensionMismatch, NonHermitianInput
 
 #: gaps smaller than this fraction of max|d| count as degenerate
 DEGENERACY_RTOL = 1e-15
@@ -70,7 +75,7 @@ class RedividedProblem:
 
     @property
     def degeneracy_tol(self) -> float:
-        return DEGENERACY_RTOL * float(np.max(np.abs(self.d)))
+        return DEGENERACY_RTOL * float(np.max(np.abs(self.d), initial=0.0))
 
 
 def redivide(problem: PerturbationProblem) -> RedividedProblem:
@@ -92,23 +97,61 @@ def _checked_gap(r: RedividedProblem, beta: int, other: int, tol: float) -> floa
     return gap
 
 
+def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
+    """G(2), G(3), G(4) of each level in ``levels``, in the resolvent form above.
+
+    Columns beyond ``order`` stay zero. A masked gap raises
+    DegenerateDenominator(beta, lowest b) when a path with a nonzero
+    numerator crosses it: a direct coupling, or for G4 an interior level.
+    """
+    g_terms = np.zeros((r.dim, 3))
+    if order < 2:
+        return g_terms[levels]
+    g1 = r.g1
+    gap = r.d[:, None] - r.d
+    masked = np.abs(gap) <= r.degeneracy_tol
+    resolvent = np.divide(1.0, gap, out=np.zeros_like(gap), where=~masked)
+    np.fill_diagonal(masked, False)  # b = beta leaves every sum; it is no degeneracy
+
+    hops = (g1 != 0.0).astype(np.float64)
+    np.fill_diagonal(hops, 0.0)
+    crossed = hops != 0.0
+    if order >= 4:
+        two_hops = (hops @ hops) != 0.0
+        crossed |= two_hops & two_hops.T
+    offending = np.argwhere((masked & crossed)[levels])
+    if offending.size:
+        i, other = offending[0]
+        raise DegenerateDenominator(int(levels[i]), int(other))
+
+    weights = g1.real**2 + g1.imag**2
+    g_terms[:, 0] = np.sum(weights * resolvent, axis=1)
+    v = resolvent * g1.T
+    abs_g1, abs_r, abs_v = np.abs(g1), np.abs(resolvent), np.abs(v)
+    path, path_abs = g1 * resolvent, abs_g1 * abs_r
+    for k in range(1, order - 1):  # each order adds one g1 R hop to the path
+        path, path_abs = path @ g1, path_abs @ abs_g1
+        total = np.sum(path * v, axis=1)
+        # Hermiticity cancels the imaginary part up to roundoff of sum |term|
+        budget = np.sum(path_abs * abs_v, axis=1)
+        residual = (np.abs(total.imag) > 1e-12 * budget + 1e-300)[levels]
+        if np.any(residual):
+            beta = levels[np.argmax(residual)]
+            raise NonHermitianInput(f"Hermiticity violated in G{k + 2} of level {beta}")
+        g_terms[:, k] = total.real
+        path, path_abs = path * resolvent, path_abs * abs_r
+    if order >= 4:
+        g_terms[:, 2] -= g_terms[:, 0] * np.sum(weights * resolvent**2, axis=1)
+    return g_terms[levels]
+
+
 def g2(r: RedividedProblem, beta: int) -> float:
     """Second-order correction sum_{b != beta} |g1[beta, b]|^2 / (d_beta - d_b).
 
     Terms with zero coupling contribute nothing regardless of their gap;
     a zero gap under a nonzero coupling raises DegenerateDenominator.
     """
-    tol = r.degeneracy_tol
-    total = 0.0
-    for b in range(r.dim):
-        if b == beta:
-            continue
-        coupling = r.g1[beta, b]
-        if coupling == 0.0:
-            continue
-        gap = _checked_gap(r, beta, b, tol)
-        total += (coupling.real**2 + coupling.imag**2) / gap
-    return total
+    return float(_g_sums(r, [beta], 2)[0, 0])
 
 
 def g3(r: RedividedProblem, beta: int) -> float:
@@ -117,34 +160,10 @@ def g3(r: RedividedProblem, beta: int) -> float:
     sum over b1, b2 != beta of
         g1[beta, b1] g1[b1, b2] g1[b2, beta] / ((d_beta - d_b1)(d_beta - d_b2)).
 
-    Hermiticity makes the total real; the residual imaginary part is
-    asserted negligible against the summed term magnitudes and dropped.
+    Hermiticity makes the total real; a residual imaginary part above
+    roundoff of the summed term magnitudes raises NonHermitianInput.
     """
-    tol = r.degeneracy_tol
-    total = 0.0 + 0.0j
-    budget = 0.0
-    for b1 in range(r.dim):
-        if b1 == beta:
-            continue
-        g_in = r.g1[beta, b1]
-        if g_in == 0.0:
-            continue
-        gap1 = _checked_gap(r, beta, b1, tol)
-        for b2 in range(r.dim):
-            if b2 == beta:
-                continue
-            g_out = r.g1[b2, beta]
-            if g_out == 0.0:
-                continue
-            mid = r.g1[b1, b2]
-            if mid == 0.0:
-                continue
-            gap2 = _checked_gap(r, beta, b2, tol)
-            term = g_in * mid * g_out / (gap1 * gap2)
-            total += term
-            budget += abs(term)
-    assert abs(total.imag) <= 1e-12 * budget + 1e-300, "Hermiticity violated in g3"
-    return float(total.real)
+    return float(_g_sums(r, [beta], 3)[0, 1])
 
 
 def g4(r: RedividedProblem, beta: int) -> float:
@@ -159,53 +178,7 @@ def g4(r: RedividedProblem, beta: int) -> float:
         sum_{b1,b2 != beta} |g1[beta,b1]|^2 |g1[beta,b2]|^2
                             / ((d_beta - d_b1)^2 (d_beta - d_b2)).
     """
-    tol = r.degeneracy_tol
-    first = 0.0 + 0.0j
-    budget = 0.0
-    for b1 in range(r.dim):
-        if b1 == beta:
-            continue
-        g_in = r.g1[beta, b1]
-        if g_in == 0.0:
-            continue
-        gap1 = _checked_gap(r, beta, b1, tol)
-        for b2 in range(r.dim):
-            if b2 == beta:
-                continue
-            for b3 in range(r.dim):
-                if b3 == beta:
-                    continue
-                g_out = r.g1[b3, beta]
-                if g_out == 0.0:
-                    continue
-                numerator = g_in * r.g1[b1, b2] * r.g1[b2, b3] * g_out
-                if numerator == 0.0:
-                    continue
-                gap2 = _checked_gap(r, beta, b2, tol)
-                gap3 = _checked_gap(r, beta, b3, tol)
-                term = numerator / (gap1 * gap2 * gap3)
-                first += term
-                budget += abs(term)
-    assert abs(first.imag) <= 1e-12 * budget + 1e-300, "Hermiticity violated in g4"
-
-    second = 0.0
-    for b1 in range(r.dim):
-        if b1 == beta:
-            continue
-        c1 = r.g1[beta, b1]
-        if c1 == 0.0:
-            continue
-        gap1 = _checked_gap(r, beta, b1, tol)
-        w1 = (c1.real**2 + c1.imag**2) / gap1**2
-        for b2 in range(r.dim):
-            if b2 == beta:
-                continue
-            c2 = r.g1[beta, b2]
-            if c2 == 0.0:
-                continue
-            gap2 = _checked_gap(r, beta, b2, tol)
-            second += w1 * (c2.real**2 + c2.imag**2) / gap2
-    return float(first.real) - second
+    return float(_g_sums(r, [beta], 4)[0, 2])
 
 
 @dataclass(frozen=True)
@@ -234,18 +207,8 @@ def improved_energies(r: RedividedProblem, order: int = 4) -> ImprovedSpectrum:
     """
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be 1..4, got {order}")
-    n = r.dim
-    g_terms = np.zeros((n, 3))
-    for beta in range(n):
-        if order >= 2:
-            g_terms[beta, 0] = g2(r, beta)
-        if order >= 3:
-            g_terms[beta, 1] = g3(r, beta)
-        if order >= 4:
-            g_terms[beta, 2] = g4(r, beta)
-    energies = r.d.copy()
-    for k in range(3):
-        energies = energies + g_terms[:, k]
+    g_terms = _g_sums(r, np.arange(r.dim), order)
+    energies = r.d + g_terms[:, 0] + g_terms[:, 1] + g_terms[:, 2]
     return ImprovedSpectrum(order=order, energies=energies, g_terms=g_terms)
 
 
@@ -327,15 +290,9 @@ def transition_probability_traditional(
     P = |g1|^2 sin^2(w t / 2 hbar) / (w / 2)^2 with w = d_gamma - d_beta.
     Coincides with the improved result when an order-1 spectrum is used.
     """
-    _check_pair(r, gamma, beta, hbar)
-    coupling = r.g1[gamma, beta]
-    if coupling == 0.0:
-        omega = r.d[gamma] - r.d[beta]
-        return TransitionResult(gamma, beta, 0.0, omega * t / (2.0 * hbar))
-    omega = _checked_gap(r, gamma, beta, r.degeneracy_tol)
-    argument = omega * t / (2.0 * hbar)
-    envelope = (coupling.real**2 + coupling.imag**2) / (omega / 2.0) ** 2
-    return TransitionResult(gamma, beta, envelope * np.sin(argument) ** 2, argument)
+    return transition_probability_improved(
+        r, improved_energies(r, 1), gamma, beta, t, hbar
+    )
 
 
 def transition_probability_exact(
@@ -343,26 +300,16 @@ def transition_probability_exact(
 ) -> TransitionResult:
     """Exact probability |<phi_gamma| exp(-i H t / hbar) |phi_beta>|^2.
 
-    Builds the full Hamiltonian, diagonalizes it, and sums the spectral
-    amplitudes sum_k <phi_gamma|Psi_k><Psi_k|phi_beta> e^{-i E_k t/hbar}.
-    The reported angular argument pairs each basis level with the
-    eigenvector it dominates, which reduces to the usual two-level gap
-    for weakly mixed problems.
+    Builds the full Hamiltonian, diagonalizes it, and propagates phi_beta
+    with ``hermitian.evolve``; the amplitude is the gamma component of the
+    evolved state. The reported angular argument pairs each basis level
+    with the eigenvector it dominates, which reduces to the usual
+    two-level gap for weakly mixed problems.
     """
-    if gamma == beta:
-        raise ValueError("transition requires two distinct levels")
-    if not (0 <= gamma < problem.dim and 0 <= beta < problem.dim):
-        raise IndexError(
-            f"level indices ({gamma}, {beta}) out of range for dim {problem.dim}"
-        )
-    if not hbar > 0.0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    _check_pair(problem, gamma, beta, hbar)
     dec = hermitian.eigendecompose(problem.full_hamiltonian())
-    v = dec.eigenvectors
-    amplitudes = v[gamma, :] * np.conj(v[beta, :])
-    z = np.sum(amplitudes * np.exp(-1j * dec.eigenvalues * (t / hbar)))
-    k_gamma = int(np.argmax(np.abs(v[gamma, :])))
-    k_beta = int(np.argmax(np.abs(v[beta, :])))
+    z = hermitian.evolve(dec, np.eye(problem.dim)[beta], t, hbar)[gamma]
+    k_gamma, k_beta = np.argmax(np.abs(dec.eigenvectors[[gamma, beta]]), axis=1)
     omega_exact = dec.eigenvalues[k_gamma] - dec.eigenvalues[k_beta]
     return TransitionResult(
         gamma, beta, float(abs(z) ** 2), omega_exact * t / (2.0 * hbar)

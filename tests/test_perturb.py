@@ -5,7 +5,9 @@ import pytest
 
 from perturba import (
     DegenerateDenominator,
+    NonHermitianInput,
     PerturbationProblem,
+    RedividedProblem,
     first_order_amplitude,
     g2,
     g3,
@@ -116,6 +118,15 @@ class TestCorrectionSums:
                 assert g4(r, beta) == pytest.approx(
                     brute_g4(r.d, r.g1, beta), rel=1e-13, abs=1e-15
                 )
+        for dim in (8, 12):
+            e0, h1 = random_problem(rng, dim)
+            r = redivide(PerturbationProblem(e0=e0, h1=h1))
+            g_terms = improved_energies(r, 4).g_terms
+            for beta in range(dim):
+                for k, brute in enumerate((brute_g2, brute_g3, brute_g4)):
+                    assert g_terms[beta, k] == pytest.approx(
+                        brute(r.d, r.g1, beta), rel=1e-13, abs=1e-15
+                    )
 
     def test_degenerate_denominator_raises(self):
         e0 = np.array([1.0, 1.0, 3.0])
@@ -125,6 +136,7 @@ class TestCorrectionSums:
         with pytest.raises(DegenerateDenominator) as err:
             g2(r, 0)
         assert (err.value.beta, err.value.other) == (0, 1)
+        assert g2(r, 2) == 0.0  # level 2 couples to neither degenerate level
 
     def test_degenerate_but_uncoupled_is_fine(self):
         # zero numerator over a zero gap contributes 0, no error
@@ -146,6 +158,20 @@ class TestCorrectionSums:
         assert g2(r, 0) == pytest.approx(0.04 / (1.0 - 2.0))
         with pytest.raises(DegenerateDenominator):
             g4(r, 0)
+        improved_energies(r, 2)  # G2 and G3 never reach the interior gap
+        improved_energies(r, 3)
+        with pytest.raises(DegenerateDenominator) as err:
+            improved_energies(r, 4)
+        assert (err.value.beta, err.value.other) == (0, 2)
+
+    def test_non_hermitian_coupling_raises(self):
+        # the loop 0 -> 1 -> 2 -> 0 has a purely imaginary product
+        g1 = np.zeros((3, 3), dtype=complex)
+        g1[0, 1] = g1[1, 2] = 0.2
+        g1[2, 0] = 0.2j
+        r = RedividedProblem(d=np.array([0.0, 1.0, 3.0]), g1=g1)
+        with pytest.raises(NonHermitianInput):
+            improved_energies(r, 3)
 
     def test_corrections_real_for_complex_couplings(self):
         rng = np.random.default_rng(55)
