@@ -10,7 +10,8 @@ Usage examples:
 Constants come from a plain key/value config file (--config or the
 PERTURBA_CONFIG environment variable); recognized keys are mu_e,
 delta_nu_h, planck_h, elementary_charge and b_field. Flags override the
-file. Exit codes: 0 success, 1 validation error, 2 I/O error.
+file. Exit codes: 0 success, 1 validation error (including a sweep too
+large for memory), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -151,6 +152,10 @@ def main(argv=None) -> int:
         return 0
     except (_UsageError, InvalidSweepSpec, ValueError) as exc:
         print(f"perturba: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # an oversized --samples: numpy cannot allocate the grid or curves
+        print(f"perturba: error: not enough memory for this sweep: {exc}", file=sys.stderr)
         return 1
     except (IoFailure, OSError) as exc:
         print(f"perturba: i/o error: {exc}", file=sys.stderr)

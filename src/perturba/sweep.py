@@ -3,11 +3,23 @@
 Grids are plain linspace/geomspace; rows carry the three curves plus
 their pointwise absolute deviations from the exact one. Output is
 deterministic down to the byte for identical inputs.
+
+CSV text is the bytes of ``'%.16e'`` per value, produced by a numpy kernel
+over blocks of 512 rows. For each value in the window 1e-11 <= |v| < 1e17
+(and zeros) it computes the 17 decimal digits exactly, with integer
+arithmetic on the value's binary mantissa and round-half-to-even, and
+writes them into fixed-width byte fields. A row holding any other value
+(nan, inf, subnormal, tiny or huge) is formatted with ``'%.16e'`` itself.
+Files are written to a temporary file beside the destination and moved into
+place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +29,7 @@ from .errors import InvalidSweepSpec, IoFailure
 from .hyperfine import HyperfineConfig, _normalized_triple
 
 CSV_HEADER = "x,p_exact,p_improved,p_traditional,dev_improved,dev_traditional"
+_COLUMNS = tuple(CSV_HEADER.split(","))
 
 _MODES = ("time", "field")
 _SCALES = ("linear", "log")
@@ -145,8 +158,159 @@ def divergence_report(
     return first_crossings(run_sweep(spec, config), threshold)
 
 
-def _format_row(values) -> str:
-    return ",".join("%.16e" % v for v in values) + "\n"
+# The exact %.16e kernel. A finite float64 is |v| = M 2**(E - 53) with a
+# 53-bit integer M. With p = 16 - floor(log10|v|) its 17 digits are
+# round-half-even(M 5**p / 2**(53 - E - p)), computed exactly from a 128-bit
+# product held in two uint64 words. 5**27 < 2**63 bounds the window to
+# 0 <= p <= 27, i.e. 1e-11 <= |v| < 1e17: there the decimal exponent has two
+# digits and the shifted product, 2 |v| 10**p < 2**62, fits one uint64.
+# Other values, nan and inf take the '%' format row by row.
+_BLOCK_ROWS = 512
+_MAX_P = 27
+_POW5 = np.array([5**p for p in range(_MAX_P + 1)], dtype=np.uint64)
+# ASCII "0000".."9999" and "e-99".."e+99" as one uint32 each
+_QUADS = np.empty((10_000, 4), dtype=np.uint8)
+for _place, _scale in enumerate((1000, 100, 10, 1)):
+    _QUADS[:, _place] = np.arange(10_000, dtype=np.uint16) // _scale % 10 + ord("0")
+_QUADS = _QUADS.view(np.uint32).ravel()
+_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-99, 100)), dtype=np.uint32)
+
+# One field per value: optional '-', d.dddddddddddddddd, 'e', exponent sign,
+# two exponent digits, then ',' or '\n'. Sign bytes of non-negative values
+# are dropped when the block is joined.
+_FIELD = 24
+_TEMPLATE = np.zeros((len(_COLUMNS), _FIELD), dtype=np.uint8)
+_TEMPLATE[:, 0] = ord("-")
+_TEMPLATE[:, 2] = ord(".")
+_TEMPLATE[:, 23] = ord(",")
+_TEMPLATE[-1, 23] = ord("\n")
+_ROW_BYTES = len(_COLUMNS) * (_FIELD - 1)  # without minus signs
+
+
+def _product_128(a, b):
+    """(hi, lo) uint64 words of a * b, for a < 2**53 and b < 2**63."""
+    a_lo, a_hi = a & 0xFFFFFFFF, a >> 32
+    b_lo, b_hi = b & 0xFFFFFFFF, b >> 32
+    low = a_lo * b_lo
+    middle = a_hi * b_lo + a_lo * b_hi  # < 2**53 + 2**63: no wrap
+    lo = low + (middle << 32)
+    return a_hi * b_hi + (middle >> 32) + (lo < low), lo
+
+
+def _scaled_quotient(mantissa, exp2, p):
+    """floor and round-half-even of |v| 10**p, for |v| = mantissa 2**(exp2 - 53)."""
+    hi, lo = _product_128(mantissa, _POW5[p])
+    # q2 = floor(2 |v| 10**p): the quotient and the bit below the point
+    shift = 52 - exp2 - p
+    right = np.maximum(shift, 0).astype(np.uint64)
+    left = np.maximum(-shift, 0).astype(np.uint64)
+    q2 = ((lo >> right) | (hi << (64 - right))) << left
+    sticky = (lo & ((1 << right) - 1)) != 0
+    truncated = q2 >> 1
+    up = ((q2 & 1) != 0) & (sticky | ((truncated & 1) != 0))
+    return truncated, truncated + up
+
+
+def _digits_and_exponent(values):
+    """17-digit integer and decimal exponent of each |value|, and a mask of
+    the values outside the exact window. Zeros give (0, 0)."""
+    safe = np.abs(values)
+    zero = safe == 0.0
+    fallback = ~np.isfinite(safe)
+    safe[zero | fallback] = 1.0
+    p = 16 - np.floor(np.log10(safe)).astype(np.int64)
+    fraction, exp2 = np.frexp(safe)
+    mantissa = (fraction * 2.0**53).astype(np.uint64)
+    exp2 = exp2.astype(np.int64)
+    fallback |= (p < 0) | (p > _MAX_P)
+    p = np.clip(p, 0, _MAX_P)
+    truncated, rounded = _scaled_quotient(mantissa, exp2, p)
+    # log10 may land one decade off next to a power of ten; the truncated
+    # quotient is in [1e16, 1e17) exactly when p is right
+    off = np.flatnonzero(~fallback & ((truncated < 10**16) | (truncated >= 10**17)))
+    if off.size:
+        p[off] += np.where(truncated[off] < 10**16, 1, -1)
+        outside = (p[off] < 0) | (p[off] > _MAX_P)
+        fallback[off[outside]] = True
+        off = off[~outside]
+        rounded[off] = _scaled_quotient(mantissa[off], exp2[off], p[off])[1]
+    # no double in the window rounds up to 1e17: the 14 that carry into the
+    # next decade lie outside it, so the exponent is always 16 - p
+    rounded[zero] = 0
+    return rounded, np.where(zero, 0, 16 - p), fallback
+
+
+def _format_block(block: NDArray[np.float64]) -> bytes:
+    """CSV text of a (rows, 6) block, byte-identical to '%.16e' per value."""
+    rows = block.shape[0]
+    values = block.reshape(-1)
+    digits, exponent, fallback = _digits_and_exponent(values)
+    out = np.tile(_TEMPLATE, (rows, 1))
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    upper = rest // 10**8
+    quads = np.empty((values.size, 4), dtype=np.uint32)
+    for column, half in ((0, upper), (2, rest - upper * 10**8)):
+        half = half.astype(np.uint32)
+        top = half // 10**4
+        quads[:, column] = _QUADS[top]
+        quads[:, column + 1] = _QUADS[half - top * 10**4]
+    out[:, 1] = lead + ord("0")
+    out[:, 3:19] = quads.view(np.uint8)
+    out[:, 19:23] = _EXPONENTS[exponent + 99].view(np.uint8).reshape(-1, 4)
+    negative = np.signbit(values)
+    if negative.any():
+        keep = np.ones(out.shape, dtype=bool)
+        keep[:, 0] = negative
+        text = out[keep].tobytes()
+    else:
+        text = out[:, 1:].tobytes()
+    fallback_rows = np.flatnonzero(fallback.reshape(rows, -1).any(axis=1))
+    if not fallback_rows.size:
+        return text
+    # splice the '%' row format in for rows holding a value outside the window
+    row_ends = np.cumsum(negative.reshape(rows, -1).sum(axis=1) + _ROW_BYTES)
+    row_starts = np.concatenate(([0], row_ends[:-1]))
+    pieces, start = [], 0
+    for row in fallback_rows:
+        pieces.append(text[start : row_starts[row]])
+        pieces.append((",".join("%.16e" % v for v in block[row]) + "\n").encode("ascii"))
+        start = row_ends[row]
+    pieces.append(text[start:])
+    return b"".join(pieces)
+
+
+def _write_atomically(path, write) -> int:
+    """Run ``write(binary_handle)`` against a temporary file beside ``path``
+    and move it into place, so a failure leaves any old file as it was.
+    An existing non-regular destination (a FIFO, /dev/stdout) is written in
+    place."""
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "wb") as handle:
+            return write(handle)
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # name the destination, not the temporary
+        raise
+    try:
+        with open(descriptor, "wb") as handle:
+            if mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))
+            written = write(handle)
+        os.replace(temporary, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
+    return written
 
 
 def emit_csv(rows, destination) -> int:
@@ -155,40 +319,32 @@ def emit_csv(rows, destination) -> int:
     ``rows`` is a SweepTable or any iterable of SweepRow; ``destination``
     a path or an open text stream. Numbers round-trip bit-exactly through
     the emitted text. Raises on empty input before touching the
-    destination, and wraps write errors in IoFailure.
+    destination, and wraps write errors in IoFailure. A path is written
+    through a temporary file in the same directory, so a failed write
+    leaves an existing file unchanged.
     """
     if isinstance(rows, SweepTable):
-        table = rows
-        count = len(table)
-        columns = (
-            table.x,
-            table.p_exact,
-            table.p_improved,
-            table.p_traditional,
-            table.dev_improved,
-            table.dev_traditional,
-        )
-        row_values = zip(*columns)
+        columns = [getattr(rows, name) for name in _COLUMNS]
     else:
-        materialized = list(rows)
-        count = len(materialized)
-        row_values = (
-            (r.x, r.p_exact, r.p_improved, r.p_traditional, r.dev_improved, r.dev_traditional)
-            for r in materialized
-        )
+        matrix = np.array(
+            [[getattr(row, name) for name in _COLUMNS] for row in rows], dtype=np.float64
+        ).reshape(-1, len(_COLUMNS))
+        columns = list(matrix.T)
+    count = len(columns[0])
     if count == 0:
         raise InvalidSweepSpec("refusing to emit CSV for zero rows")
 
-    def write_all(stream) -> int:
-        written = stream.write(CSV_HEADER + "\n")
-        for values in row_values:
-            written += stream.write(_format_row(values))
-        return written
+    def blocks():
+        yield (CSV_HEADER + "\n").encode("ascii")
+        for start in range(0, count, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            yield _format_block(np.stack([c[start:stop] for c in columns], axis=1))
 
     try:
         if hasattr(destination, "write"):
-            return write_all(destination)
-        with open(destination, "w", encoding="ascii", newline="") as handle:
-            return write_all(handle)
+            return sum(destination.write(block.decode("ascii")) for block in blocks())
+        return _write_atomically(
+            destination, lambda handle: sum(handle.write(block) for block in blocks())
+        )
     except OSError as exc:
         raise IoFailure(f"CSV write failed: {exc}") from exc

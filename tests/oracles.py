@@ -115,3 +115,10 @@ def order_scaling_slopes(seed, lams, n_problems, exact_eigenvalues):
         slopes4.append(np.polyfit(log_lams, np.log(errs4), 1)[0])
         slopes2.append(np.polyfit(log_lams, np.log(errs2), 1)[0])
     return np.asarray(slopes4), np.asarray(slopes2)
+
+
+def reference_csv_rows(rows):
+    """CSV body of ``rows`` (sequences of six floats) the slow way: one
+    ``'%.16e'`` call per value, as ``emit_csv`` formatted before its
+    vectorized kernel."""
+    return "".join(",".join("%.16e" % v for v in row) + "\n" for row in rows)

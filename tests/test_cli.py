@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from perturba import HyperfineConfig, PhysicalConstants, SweepSpec, run_sweep
+from perturba import HyperfineConfig, PhysicalConstants, SweepSpec, cli, run_sweep
 from perturba.cli import CONFIG_ENV_VAR, main, parse_config_text
 
 BASE_ARGS = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1e-8", "--samples", "64"]
@@ -149,6 +149,18 @@ class TestMain:
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")] + BASE_ARGS) == 2
+
+    def test_oversized_sweep_exits_one(self, monkeypatch, capsys):
+        def out_of_memory(spec, config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+        monkeypatch.setattr(cli, "run_sweep", out_of_memory)
+        args = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1",
+                "--samples", "1000000000000"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("perturba: error: ") and "7.28 TiB" in err
+        assert "Traceback" not in err
 
     def test_unwritable_out_exits_two(self, tmp_path):
         out = tmp_path / "missing" / "dir" / "x.csv"

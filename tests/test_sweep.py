@@ -3,9 +3,15 @@
 import io
 import math
 import os
+import stat
+import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_csv_rows
 
 from perturba import (
     HyperfineConfig,
@@ -16,8 +22,10 @@ from perturba import (
     divergence_report,
     emit_csv,
     run_sweep,
+    sweep,
     sweep_grid,
 )
+from perturba.sweep import CSV_HEADER
 
 CONFIG = HyperfineConfig(b_field=1e-3)
 
@@ -207,5 +215,176 @@ class TestEmitCsv:
         assert written == len(buffer.getvalue())
 
     def test_unwritable_destination(self, tmp_path):
-        with pytest.raises(IoFailure):
+        with pytest.raises(IoFailure, match=r"dir/x\.csv'$"):
             emit_csv(self.rows(), tmp_path / "no" / "such" / "dir" / "x.csv")
+
+
+def assert_matches_reference(matrix):
+    """emit_csv of the rows of ``matrix`` equals the per-value '%.16e' text."""
+    rows = np.asarray(matrix, dtype=np.float64).reshape(-1, 6).tolist()
+    buffer = io.StringIO()
+    written = emit_csv([SweepRow(*row) for row in rows], buffer)
+    expected = CSV_HEADER + "\n" + reference_csv_rows(rows)
+    assert buffer.getvalue() == expected
+    assert written == len(expected)
+
+
+def signed_rows(values):
+    """One row per value, alternating its sign across the six columns."""
+    values = np.asarray(values, dtype=np.float64)[:, None]
+    return values * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+
+
+def columns_of(table):
+    return np.column_stack(
+        [table.x, table.p_exact, table.p_improved, table.p_traditional,
+         table.dev_improved, table.dev_traditional]
+    )
+
+
+class TestCsvKernel:
+    """The vectorized formatter against the one-call-per-value reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.floats(), min_size=6, max_size=6), min_size=1, max_size=4))
+    def test_any_floats(self, rows):
+        assert_matches_reference(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 2**64 - 1), min_size=6, max_size=6), min_size=1, max_size=4
+        )
+    )
+    def test_any_bit_patterns(self, rows):
+        assert_matches_reference(np.array(rows, dtype=np.uint64).view(np.float64))
+
+    def test_random_values_around_the_window(self):
+        # binary exponents spanning 1e-13 .. 1e19, so both window edges and
+        # the values just outside them are drawn
+        rng = np.random.default_rng(20061)
+        count = 30_000
+        mantissa = rng.integers(0, 2**52, count, dtype=np.uint64)
+        exponent = rng.integers(1023 - 44, 1023 + 64, count).astype(np.uint64)
+        sign = rng.integers(0, 2, count).astype(np.uint64)
+        bits = mantissa | (exponent << np.uint64(52)) | (sign << np.uint64(63))
+        assert_matches_reference(bits.view(np.float64))
+
+    def test_neighbours_of_powers_of_ten(self):
+        values = []
+        for k in range(-330, 309):
+            power = float(f"1e{k}")
+            values += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+        assert_matches_reference(signed_rows(values))
+
+    def test_rounding_that_carries_to_the_next_decade(self):
+        # the largest doubles below each power of ten whose 17-digit
+        # rounding reads 1.0000000000000000e(k+1)
+        carries = []
+        for k in range(-330, 309):
+            power = float(f"1e{k}")
+            for value in (power, float(np.nextafter(power, 0.0))):
+                rounded_up = "%.16e" % value == "1.0000000000000000e%+03d" % k
+                if rounded_up and Fraction(value) < Fraction(10) ** k:
+                    carries.append(value)
+        assert len(carries) >= 10
+        # the kernel has no carry step: every carry must take the '%' path
+        assert not any(1e-11 <= value < 1e17 for value in carries)
+        # the double nearest 1e-7 lies below it but rounds to 17 digits
+        # without a carry: 9.9999999999999995e-08
+        assert_matches_reference(signed_rows(carries + [1e-7]))
+
+    def test_exact_ties_round_half_to_even(self):
+        # M / 2**j is exact and has 18 significant digits ending in 5 when
+        # M 5**j does
+        ties = [
+            m * 2.0**-j
+            for j in range(1, 80)
+            for m in range(1, 600, 2)
+            if len(str(m * 5**j)) == 18
+        ]
+        assert len(ties) > 300
+        assert_matches_reference(signed_rows(ties))
+
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_fallback_rows_at_block_edges(self, blocks, extra):
+        size = sweep._BLOCK_ROWS
+        rows = blocks * size + extra
+        rng = np.random.default_rng(rows)
+        matrix = rng.uniform(-1.0, 1.0, (rows, 6))
+        outside = [math.nan, -math.inf, 5e-324, 1e-300, 3e20, 1e-12]
+        for n, row in enumerate(sorted({0, size - 1, size, rows - 1} & set(range(rows)))):
+            matrix[row, n % 6] = outside[n % len(outside)]
+        assert_matches_reference(matrix)
+
+    def test_single_row_blocks(self):
+        assert_matches_reference([[0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-1074]])
+        assert_matches_reference([[math.nan, 0.0, 0.0, 0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-6, samples=3001),
+            SweepSpec(mode="time", fixed_value=2e-3, start=0.0, stop=30.0, samples=2049),
+            SweepSpec(mode="field", fixed_value=1.0, start=0.0, stop=1e-2, samples=1025),
+            SweepSpec(
+                mode="field", fixed_value=3e-7, start=1e-4, stop=1e-2, samples=2500, scale="log"
+            ),
+        ],
+    )
+    def test_whole_sweep_tables(self, spec, tmp_path):
+        table = run_sweep(spec, CONFIG)
+        expected = CSV_HEADER + "\n" + reference_csv_rows(columns_of(table).tolist())
+        target = tmp_path / "sweep.csv"
+        assert emit_csv(table, target) == len(expected)
+        assert target.read_bytes() == expected.encode("ascii")
+        from_rows = io.StringIO()
+        emit_csv(list(table), from_rows)
+        assert from_rows.getvalue() == expected
+
+
+class TestAtomicCsvFile:
+    def table(self, rows):
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-6, samples=rows)
+        return run_sweep(spec, CONFIG)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        format_block = sweep._format_block
+        calls = []
+
+        def failing_second_block(block):
+            calls.append(len(block))
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return format_block(block)
+
+        monkeypatch.setattr(sweep, "_format_block", failing_second_block)
+        with pytest.raises(IoFailure):
+            emit_csv(self.table(2 * sweep._BLOCK_ROWS + 1), target)
+        assert len(calls) == 2
+        assert target.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_replacing_keeps_the_file_mode(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        os.chmod(target, 0o600)
+        written = emit_csv(self.table(10), target)
+        assert os.path.getsize(target) == written
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        written = emit_csv(self.table(10), fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert len(received[0]) == written
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
