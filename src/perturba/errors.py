@@ -10,7 +10,7 @@ class NonHermitianInput(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """The eigensolver exceeded its sweep cap without converging."""
+    """The LAPACK eigensolver did not converge."""
 
 
 class DegenerateDenominator(ArithmeticError):

@@ -1,14 +1,14 @@
 """Dense complex linear algebra for small Hermitian systems.
 
-Provides a deterministic cyclic-Jacobi eigensolver, spectral time
-evolution, and matrix elements. Everything here is a pure function on
-immutable values; nothing caches or mutates shared state, so concurrent
-callers need no synchronization.
+Provides Hermitian validation, an eigendecomposition backed by LAPACK
+(``np.linalg.eigh``) with a fixed ordering and phase convention, spectral
+time evolution, and matrix elements. Everything here is a pure function
+on immutable values; nothing caches or mutates shared state, so
+concurrent callers need no synchronization.
 
-The solver is tuned for the tiny matrices this package cares about
-(dim <= 8 in practice, usable up to a few dozen): one-sided accuracy
-tricks and blocking would be noise at this size, while Jacobi gives
-reproducible eigenvectors and near-machine orthogonality.
+Outputs are deterministic for identical input bits on one numpy/LAPACK
+build with a pinned BLAS thread count. Different builds may round
+differently, so eigenvectors are reproducible there only up to roundoff.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 
 #: absolute tolerance on |H - H^dagger| entries and on diagonal imaginary parts
 HERMITICITY_ATOL = 1e-13
-
-#: convergence: off-diagonal Frobenius norm <= OFFDIAG_TOL * ||H||_F
-OFFDIAG_TOL = 1e-14
-
-#: hard cap on cyclic sweeps before giving up
-MAX_SWEEPS = 100
 
 
 def require_hermitian(matrix, atol: float = HERMITICITY_ATOL) -> NDArray[np.complex128]:
@@ -68,88 +62,42 @@ class SpectralDecomposition:
 
 
 def _order_and_fix_phase(w, v):
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    n = w.shape[0]
-    # ties (exactly equal eigenvalues) ordered by dominant-component index
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and w[j] == w[i]:
-            j += 1
-        if j - i > 1:
-            dominant = [int(np.argmax(np.abs(v[:, k]))) for k in range(i, j)]
-            v[:, i:j] = v[:, i + np.argsort(dominant, kind="stable")]
-        i = j
-    for k in range(n):
-        lead = v[np.argmax(np.abs(v[:, k])), k]
-        v[:, k] *= np.conj(lead) / abs(lead)
+    """Order exact ties and make each column's lead component real positive.
+
+    ``w`` must be ascending. Columns whose eigenvalues are exactly equal
+    are ordered by the index of their largest-magnitude component; then
+    every column is scaled by the unit phase that makes that component
+    real and positive.
+    """
+    lead = np.argmax(np.abs(v), axis=0)
+    if np.any(w[1:] == w[:-1]):
+        order = np.lexsort((lead, w))
+        w, v, lead = w[order], v[:, order], lead[order]
+    entries = v[lead, np.arange(w.shape[0])]
+    v *= np.conj(entries) / np.abs(entries)
     return w, v
 
 
 def eigendecompose(matrix) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix with LAPACK (``np.linalg.eigh``).
 
-    Sweeps row-major over the strict upper triangle, annihilating each
-    entry with a complex Givens rotation, until the off-diagonal
-    Frobenius norm falls below ``OFFDIAG_TOL`` times the input norm.
-    Deterministic: identical input bits give identical output bits.
+    Eigenvalues come out ascending; eigenvectors follow the ordering and
+    phase convention of ``SpectralDecomposition``. Identical input bits
+    give identical output bits on one numpy/LAPACK build with a pinned
+    BLAS thread count.
 
-    Raises NonHermitianInput for invalid input and ConvergenceFailure
-    if MAX_SWEEPS sweeps do not converge (unreachable for sane sizes;
-    Jacobi converges quadratically).
+    Raises NonHermitianInput for invalid input and ConvergenceFailure if
+    LAPACK does not converge.
     """
     a = require_hermitian(matrix)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return SpectralDecomposition(np.zeros(n), v)
-
-    for sweep in range(MAX_SWEEPS + 1):
-        off2 = np.abs(a) ** 2
-        np.fill_diagonal(off2, 0.0)
-        if np.sqrt(off2.sum()) <= OFFDIAG_TOL * scale:
-            break
-        if sweep == MAX_SWEEPS:
-            raise ConvergenceFailure(
-                f"Jacobi did not converge within {MAX_SWEEPS} sweeps (dim {n})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= 1e-300:
-                    continue  # numerically zero; rotating would divide by ~0
-                # dephase so the pivot is real, then a standard real rotation
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                phc = np.conj(phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * phc * col_q
-                a[:, q] = s * col_p + c * phc * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * row_p + c * phase * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                v_p = v[:, p].copy()
-                v_q = v[:, q].copy()
-                v[:, p] = c * v_p - s * phc * v_q
-                v[:, q] = s * v_p + c * phc * v_q
-
-    w, v = _order_and_fix_phase(np.diag(a).real.copy(), v)
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(
+            f"LAPACK eigh did not converge (dim {a.shape[0]}): {exc}"
+        ) from exc
+    if a.size:  # argmax has no answer on a 0x0 matrix
+        w, v = _order_and_fix_phase(w, v)
     return SpectralDecomposition(w, v)
 
 

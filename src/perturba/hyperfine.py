@@ -129,6 +129,29 @@ def pauli_operators() -> tuple[NDArray, NDArray, NDArray]:
     return spin_dot.real, np.kron(_SIGMA_Z.real, eye), np.kron(eye, _SIGMA_Z.real)
 
 
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+# constant algebra for build_problem, built once: the product-basis
+# operators, the unnormalized integer coupled-basis columns (phi1..phi4
+# times 1, sqrt(2), 1, sqrt(2)) and the exact rescale by their norms
+_SPIN_DOT, _SIGMA_EZ, _ = _read_only(*pauli_operators())
+_BASIS_INT, _RESCALE = _read_only(
+    np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 1.0],
+            [0.0, 1.0, 0.0, -1.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+    ),
+    np.sqrt(np.multiply.outer([1.0, 2.0, 1.0, 2.0], [1.0, 2.0, 1.0, 2.0])),
+)
+
+
 def build_problem(config: HyperfineConfig) -> PerturbationProblem:
     """Assemble the 4x4 hyperfine + Zeeman problem in the coupled basis.
 
@@ -145,23 +168,8 @@ def build_problem(config: HyperfineConfig) -> PerturbationProblem:
     """
     w = config.constants.w_ev
     x = config.coupling_ev
-    spin_dot, sigma_ez, _ = pauli_operators()
-    h0 = w * spin_dot
-    h1 = x * sigma_ez
-
-    basis_int = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 1.0],
-            [0.0, 1.0, 0.0, -1.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    )
-    norm2 = np.array([1.0, 2.0, 1.0, 2.0])
-    rescale = np.sqrt(np.multiply.outer(norm2, norm2))
-
-    h0_coupled = (basis_int.T @ h0 @ basis_int) / rescale
-    h1_coupled = (basis_int.T @ h1 @ basis_int) / rescale
+    h0_coupled = (_BASIS_INT.T @ (w * _SPIN_DOT) @ _BASIS_INT) / _RESCALE
+    h1_coupled = (_BASIS_INT.T @ (x * _SIGMA_EZ) @ _BASIS_INT) / _RESCALE
     if np.any(h0_coupled != np.diag(np.diag(h0_coupled))):
         raise RuntimeError("the coupled basis does not diagonalize W sigma_e . sigma_p")
 

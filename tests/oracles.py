@@ -1,9 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 These are deliberately naive translations of the correction-sum
-definitions (dense loops, no skip logic) plus a random-problem
-generator, kept apart from the package so the engine and its checks
-cannot share a bug.
+definitions (dense loops, no skip logic), a cyclic-Jacobi eigensolver,
+and a random-problem generator, kept apart from the package so the
+engine and its checks cannot share a bug.
 """
 
 import numpy as np
@@ -122,3 +122,94 @@ def reference_csv_rows(rows):
     ``'%.16e'`` call per value, as ``emit_csv`` formatted before its
     vectorized kernel."""
     return "".join(",".join("%.16e" % v for v in row) + "\n" for row in rows)
+
+
+#: Jacobi convergence: off-diagonal Frobenius norm <= OFFDIAG_TOL * ||H||_F
+OFFDIAG_TOL = 1e-14
+
+#: hard cap on cyclic Jacobi sweeps before giving up
+MAX_SWEEPS = 100
+
+
+def reference_order_and_fix_phase(w, v):
+    """Sort ascending, order exact ties by dominant-component index, and
+    make each column's largest-magnitude component real and positive, one
+    column at a time."""
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    n = w.shape[0]
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and w[j] == w[i]:
+            j += 1
+        if j - i > 1:
+            dominant = [int(np.argmax(np.abs(v[:, k]))) for k in range(i, j)]
+            v[:, i:j] = v[:, i + np.argsort(dominant, kind="stable")]
+        i = j
+    for k in range(n):
+        lead = v[np.argmax(np.abs(v[:, k])), k]
+        v[:, k] *= np.conj(lead) / abs(lead)
+    return w, v
+
+
+def jacobi_eigh(matrix):
+    """(eigenvalues, eigenvectors) of a Hermitian matrix by cyclic Jacobi.
+
+    Sweeps row-major over the strict upper triangle, annihilating each
+    entry with a complex Givens rotation, until the off-diagonal Frobenius
+    norm falls below ``OFFDIAG_TOL`` times the input norm; then applies
+    ``reference_order_and_fix_phase``. Raises RuntimeError after
+    ``MAX_SWEEPS`` sweeps without convergence.
+    """
+    a = np.array(matrix, dtype=np.complex128)
+    n = a.shape[0]
+    v = np.eye(n, dtype=np.complex128)
+    scale = np.linalg.norm(a)
+    if scale == 0.0:
+        return np.zeros(n), v
+
+    for sweep in range(MAX_SWEEPS + 1):
+        off2 = np.abs(a) ** 2
+        np.fill_diagonal(off2, 0.0)
+        if np.sqrt(off2.sum()) <= OFFDIAG_TOL * scale:
+            break
+        if sweep == MAX_SWEEPS:
+            raise RuntimeError(
+                f"Jacobi did not converge within {MAX_SWEEPS} sweeps (dim {n})"
+            )
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                mag = abs(apq)
+                if mag <= 1e-300:
+                    continue  # numerically zero; rotating would divide by ~0
+                # dephase so the pivot is real, then a standard real rotation
+                phase = apq / mag
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.hypot(1.0, tau))
+                else:
+                    t = -1.0 / (-tau + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                phc = np.conj(phase)
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * phc * col_q
+                a[:, q] = s * col_p + c * phc * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * phase * row_q
+                a[q, :] = s * row_p + c * phase * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                v_p = v[:, p].copy()
+                v_q = v[:, q].copy()
+                v[:, p] = c * v_p - s * phc * v_q
+                v[:, q] = s * v_p + c * phc * v_q
+
+    return reference_order_and_fix_phase(np.diag(a).real.copy(), v)

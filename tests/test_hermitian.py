@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import jacobi_eigh, reference_order_and_fix_phase
 from perturba import (
+    ConvergenceFailure,
     DimensionMismatch,
     NonHermitianInput,
     eigendecompose,
     evolve,
     matrix_element,
+    pauli_operators,
 )
+from perturba.hermitian import _order_and_fix_phase
 
 
 def random_hermitian(rng, dim, complex_valued=True):
@@ -21,6 +25,29 @@ def random_hermitian(rng, dim, complex_valued=True):
     if complex_valued:
         m = m + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2.0
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def check_convention(h, dec):
+    """Reconstruction, orthonormality, real positive lead components, and
+    exact ties ordered by dominant-component index."""
+    w, v = dec.eigenvalues, dec.eigenvectors
+    dim = w.shape[0]
+    h_max = np.max(np.abs(h))
+    assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) <= 1e-12 * h_max
+    assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-12
+    dominant = np.argmax(np.abs(v), axis=0)
+    lead = v[dominant, np.arange(dim)]
+    assert np.all(np.abs(lead.imag) <= 1e-15)
+    assert np.all(lead.real > 0)
+    assert np.all(np.diff(w) >= 0)
+    for k in range(dim - 1):
+        if w[k] == w[k + 1]:
+            assert dominant[k] <= dominant[k + 1]
 
 
 def taylor_propagator(h, t, hbar, order=12):
@@ -111,6 +138,50 @@ class TestEigendecompose:
             atol=1e-13 * np.linalg.norm(h),
         )
 
+    @given(seed=st.integers(0, 10**6), dim=st.integers(1, 8), cplx=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_jacobi_oracle(self, seed, dim, cplx):
+        h = random_hermitian(np.random.default_rng(seed), dim, cplx)
+        dec = eigendecompose(h)
+        w_ref, v_ref = jacobi_eigh(h)
+        h_norm = np.linalg.norm(h)
+        np.testing.assert_allclose(dec.eigenvalues, w_ref, rtol=1e-12, atol=1e-13 * h_norm)
+        if dim == 1 or np.min(np.diff(w_ref)) > 1e-6 * h_norm:
+            assert np.max(np.abs(dec.eigenvectors - v_ref)) <= 1e-10
+
+    @given(seed=st.integers(0, 10**6), dim=st.integers(1, 8), ties=st.integers(0, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_phase_fix_matches_column_loop(self, seed, dim, ties):
+        # ascending values with up to `ties` exact repeats, columns from a
+        # random unitary: the vectorized fix picks the same columns and lead
+        # components as the per-column loop; the phase factors may differ in
+        # the last bit (array vs scalar complex division)
+        rng = np.random.default_rng(seed)
+        w = np.sort(rng.normal(size=dim))
+        for k in rng.integers(1, dim, size=ties) if dim > 1 else ():
+            w[k] = w[k - 1]
+        v = random_unitary(rng, dim)
+        got_w, got_v = _order_and_fix_phase(w.copy(), v.copy())
+        ref_w, ref_v = reference_order_and_fix_phase(w.copy(), v.copy())
+        assert np.array_equal(got_w, ref_w)
+        assert np.array_equal(
+            np.argmax(np.abs(got_v), axis=0), np.argmax(np.abs(ref_v), axis=0)
+        )
+        assert np.max(np.abs(got_v - ref_v), initial=0.0) <= 1e-15
+
+    def test_empty_matrix(self):
+        dec = eigendecompose(np.zeros((0, 0)))
+        assert dec.dim == 0
+        assert dec.eigenvectors.shape == (0, 0)
+
+    def test_lapack_failure_is_convergence_failure(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            eigendecompose(np.diag([1.0, 2.0]))
+
     def test_trace_preserved(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -131,6 +202,53 @@ class TestEigendecompose:
     def test_rejects_non_square(self):
         with pytest.raises(NonHermitianInput):
             eigendecompose(np.zeros((2, 3)))
+
+
+class TestExactTies:
+    """Degenerate inputs that are not diagonal: LAPACK returns an arbitrary
+    basis of each degenerate subspace, so the ordering and phase
+    convention must still hold and the output must be repeatable."""
+
+    def check(self, h):
+        first = eigendecompose(h)
+        second = eigendecompose(h)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+        check_convention(h, first)
+        return first
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("spectrum", [(1.0, 1.0, 2.0), (-1.0, 3.0, 3.0, 3.0)])
+    def test_rotated_degenerate_diagonal(self, seed, spectrum):
+        u = random_unitary(np.random.default_rng(seed), len(spectrum))
+        h = u @ np.diag(spectrum) @ u.conj().T
+        dec = self.check((h + h.conj().T) / 2.0)
+        np.testing.assert_allclose(dec.eigenvalues, sorted(spectrum), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("w", [1.46858145124e-6, 1.0])
+    def test_zero_field_hyperfine_in_product_basis(self, w):
+        # W sigma_e . sigma_p at B = 0: triplet W (threefold) and singlet -3W
+        dec = self.check(w * pauli_operators()[0])
+        np.testing.assert_allclose(dec.eigenvalues, [-3 * w, w, w, w], rtol=1e-15)
+        if w == 1.0:
+            # integer entries: LAPACK returns the triplet as three exactly
+            # equal values, so the tie ordering in check() is exercised
+            assert dec.eigenvalues[1] == dec.eigenvalues[2] == dec.eigenvalues[3]
+
+    def test_zero_field_hyperfine_in_coupled_basis(self):
+        w = 1.46858145124e-6
+        h = np.diag([w, w, w, -3 * w])
+        dec = self.check(h)
+        assert np.array_equal(dec.eigenvalues, [-3 * w, w, w, w])
+        assert np.array_equal(dec.eigenvectors, np.eye(4)[:, [3, 0, 1, 2]])
+
+    def test_tie_group_ordered_by_dominant_index(self):
+        # columns of an exactly tied group arrive in reverse dominant order
+        w = np.array([1.0, 1.0, 1.0, 2.0])
+        v = np.eye(4, dtype=complex)[:, [2, 1, 0, 3]] * np.exp(1j * np.arange(4))
+        got_w, got_v = _order_and_fix_phase(w, v)
+        assert np.array_equal(got_w, [1.0, 1.0, 1.0, 2.0])
+        np.testing.assert_allclose(got_v, np.eye(4), rtol=0, atol=1e-15)
 
 
 class TestEvolve:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from perturba import hyperfine
 from perturba import (
     HyperfineConfig,
     PhysicalConstants,
@@ -127,6 +128,32 @@ class TestBasisAndBuild:
         expected_h1[2, 2] = -x
         expected_h1[1, 3] = expected_h1[3, 1] = x
         np.testing.assert_array_equal(problem.h1, expected_h1)
+
+    @pytest.mark.parametrize("b_field", [0.0, 1e-4, 1e-3, 2.5e-3, 1e-2, 0.036, 1.0])
+    def test_build_matches_fresh_pauli_algebra(self, b_field):
+        # build_problem reuses operators built once at import; the same
+        # transform on a fresh pauli_operators() gives the same bits
+        config = HyperfineConfig(b_field=b_field)
+        spin_dot, sigma_ez, _ = pauli_operators()
+        basis_int = np.array(
+            [[1.0, 0, 0, 0], [0, 1.0, 0, 1.0], [0, 1.0, 0, -1.0], [0, 0, 1.0, 0]]
+        )
+        rescale = np.sqrt(np.multiply.outer([1.0, 2.0, 1.0, 2.0], [1.0, 2.0, 1.0, 2.0]))
+        h0 = (basis_int.T @ (config.constants.w_ev * spin_dot) @ basis_int) / rescale
+        h1 = (basis_int.T @ (config.coupling_ev * sigma_ez) @ basis_int) / rescale
+        problem = build_problem(config)
+        assert np.array_equal(problem.e0, np.diag(h0))
+        assert np.array_equal(problem.h1, h1)
+
+    def test_pauli_operators_are_fresh_arrays(self):
+        first = pauli_operators()
+        first[0][0, 0] = 99.0
+        assert pauli_operators()[0][0, 0] == 1.0
+        assert build_problem(HyperfineConfig(b_field=0.0)).e0[0] == PhysicalConstants().w_ev
+
+    def test_build_constants_are_read_only(self):
+        for name in ("_SPIN_DOT", "_SIGMA_EZ", "_BASIS_INT", "_RESCALE"):
+            assert not getattr(hyperfine, name).flags.writeable
 
     def test_zeeman_action_on_triplet_zero(self):
         # H1 phi2 = (B mu_e) phi4 in the product basis
