@@ -19,19 +19,15 @@ from .hermitian import (
     SpectralDecomposition,
     eigendecompose,
     evolve,
-    matrix_element,
     require_hermitian,
 )
 from .hyperfine import (
-    CoupledBasis,
     HyperfineConfig,
     PhysicalConstants,
     angular_rates,
     build_problem,
-    coupled_basis,
     exact_eigensystem_closed_form,
     improved_energies_closed_form,
-    normalization_factor,
     normalized_probabilities,
     pauli_operators,
 )
@@ -40,7 +36,6 @@ from .perturb import (
     PerturbationProblem,
     RedividedProblem,
     TransitionResult,
-    first_order_amplitude,
     g2,
     g3,
     g4,
@@ -51,7 +46,6 @@ from .perturb import (
     transition_probability_traditional,
 )
 from .sweep import (
-    SweepRow,
     SweepSpec,
     SweepTable,
     divergence_report,
@@ -64,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceFailure",
-    "CoupledBasis",
     "DegenerateDenominator",
     "DimensionMismatch",
     "HyperfineConfig",
@@ -76,26 +69,21 @@ __all__ = [
     "PhysicalConstants",
     "RedividedProblem",
     "SpectralDecomposition",
-    "SweepRow",
     "SweepSpec",
     "SweepTable",
     "TransitionResult",
     "angular_rates",
     "build_problem",
-    "coupled_basis",
     "divergence_report",
     "eigendecompose",
     "emit_csv",
     "evolve",
     "exact_eigensystem_closed_form",
-    "first_order_amplitude",
     "g2",
     "g3",
     "g4",
     "improved_energies",
     "improved_energies_closed_form",
-    "matrix_element",
-    "normalization_factor",
     "normalized_probabilities",
     "pauli_operators",
     "redivide",

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small Hermitian systems.
 
 Provides Hermitian validation, an eigendecomposition backed by LAPACK
-(``np.linalg.eigh``) with a fixed ordering and phase convention, spectral
-time evolution, and matrix elements. Everything here is a pure function
-on immutable values; nothing caches or mutates shared state, so
-concurrent callers need no synchronization.
+(``np.linalg.eigh``) with a fixed ordering and phase convention, and
+spectral time evolution. Everything here is a pure function on immutable
+values; nothing caches or mutates shared state, so concurrent callers need
+no synchronization.
 
 Outputs are deterministic for identical input bits on one numpy/LAPACK
 build with a pinned BLAS thread count. Different builds may round
@@ -20,26 +20,29 @@ from numpy.typing import NDArray
 
 from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 
-#: absolute tolerance on |H - H^dagger| entries and on diagonal imaginary parts
-HERMITICITY_ATOL = 1e-13
+#: bound on |H - H^dagger| entries (and diagonal imaginary parts) relative to max |H|
+HERMITICITY_RTOL = 1e-13
 
 
-def require_hermitian(matrix, atol: float = HERMITICITY_ATOL) -> NDArray[np.complex128]:
+def require_hermitian(matrix) -> NDArray[np.complex128]:
     """Validate and return ``matrix`` as a square complex Hermitian array.
 
     Raises NonHermitianInput if the matrix is not square, contains
-    non-finite entries, or violates ``|m[i, j] - conj(m[j, i])| <= atol``
-    (which also bounds diagonal imaginary parts).
+    non-finite entries, or violates
+    ``|m[i, j] - conj(m[j, i])| <= HERMITICITY_RTOL * max |m|`` (which also
+    bounds diagonal imaginary parts). The bound scales with the matrix, so
+    the same matrix passes or fails in any unit system; a zero matrix passes.
     """
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(np.float64))):
         raise NonHermitianInput("matrix contains non-finite entries")
-    asym = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if asym > atol:
+    asym = np.max(np.abs(m - m.conj().T), initial=0.0)
+    bound = HERMITICITY_RTOL * np.max(np.abs(m), initial=0.0)
+    if asym > bound:
         raise NonHermitianInput(
-            f"matrix is not Hermitian: max |m - m^H| = {asym:.3e} > {atol:.1e}"
+            f"matrix is not Hermitian: max |m - m^H| = {asym:.3e} > {bound:.3e}"
         )
     return m
 
@@ -120,18 +123,3 @@ def evolve(
     phases = np.exp(-1j * decomposition.eigenvalues * (t / hbar))
     return vecs @ (phases * (vecs.conj().T @ psi))
 
-
-def matrix_element(bra, matrix, ket) -> complex:
-    """Return <bra|matrix|ket> for a Hermitian operator.
-
-    Conjugate-symmetric by construction: swapping bra and ket conjugates
-    the result (up to roundoff).
-    """
-    m = require_hermitian(matrix)
-    b = np.asarray(bra, dtype=np.complex128)
-    k = np.asarray(ket, dtype=np.complex128)
-    if b.shape != (m.shape[0],) or k.shape != (m.shape[0],):
-        raise DimensionMismatch(
-            f"bra {b.shape} / ket {k.shape} do not match operator dim {m.shape[0]}"
-        )
-    return complex(np.vdot(b, m @ k))

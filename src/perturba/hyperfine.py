@@ -27,6 +27,7 @@ moment is negative; only |mu_e| appears here).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +43,20 @@ class PhysicalConstants:
     """CODATA inputs in SI units plus the derived eV-based quantities.
 
     Defaults are the 2002 recommended values; every field can be
-    overridden (e.g. from a CLI config file) to track revisions.
+    overridden (e.g. from a CLI config file) to track revisions. Each
+    must be finite and positive, else ValueError.
     """
 
     mu_e: float = 9.28476412e-24  # electron magnetic moment magnitude, J/T
     delta_nu_h: float = 1.4204057517667e9  # ground-state hyperfine frequency, Hz
     planck_h: float = 6.6260693e-34  # Planck constant, J s
     elementary_charge: float = 1.60217653e-19  # C
+
+    def __post_init__(self):
+        for name in ("mu_e", "delta_nu_h", "planck_h", "elementary_charge"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # also false for nan
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def mu_e_ev_per_tesla(self) -> float:
@@ -84,31 +92,6 @@ class HyperfineConfig:
     def is_perturbative(self) -> bool:
         """True while B mu_e < 0.1 W, the regime the expansions assume."""
         return self.coupling_ev < 0.1 * self.constants.w_ev
-
-
-@dataclass(frozen=True)
-class CoupledBasis:
-    """Triplet/singlet combinations in the product basis {aa, ab, ba, bb}."""
-
-    phi1: NDArray[np.float64]
-    phi2: NDArray[np.float64]
-    phi3: NDArray[np.float64]
-    phi4: NDArray[np.float64]
-
-    @property
-    def matrix(self) -> NDArray[np.float64]:
-        """Columns phi1..phi4, i.e. the product -> coupled change of basis."""
-        return np.column_stack([self.phi1, self.phi2, self.phi3, self.phi4])
-
-
-def coupled_basis() -> CoupledBasis:
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    return CoupledBasis(
-        phi1=np.array([1.0, 0.0, 0.0, 0.0]),
-        phi2=np.array([0.0, inv_sqrt2, inv_sqrt2, 0.0]),
-        phi3=np.array([0.0, 0.0, 0.0, 1.0]),
-        phi4=np.array([0.0, inv_sqrt2, -inv_sqrt2, 0.0]),
-    )
 
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -280,11 +263,3 @@ def normalized_probabilities(config: HyperfineConfig, t):
         return float(pT), float(pI), float(p)
     return pT, pI, p
 
-
-def normalization_factor(config: HyperfineConfig) -> float:
-    """(omega42 / 2)^2 / (mu_e B)^2: raw probability times this gives the curves."""
-    w = config.constants.w_ev
-    x = config.coupling_ev
-    if x == 0.0:
-        raise ValueError("normalization undefined at B = 0")
-    return (2.0 * w / x) ** 2

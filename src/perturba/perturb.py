@@ -90,13 +90,6 @@ def redivide(problem: PerturbationProblem) -> RedividedProblem:
     return RedividedProblem(d=d, g1=g1)
 
 
-def _checked_gap(r: RedividedProblem, beta: int, other: int, tol: float) -> float:
-    gap = r.d[beta] - r.d[other]
-    if abs(gap) <= tol:
-        raise DegenerateDenominator(beta, other)
-    return gap
-
-
 def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     """G(2), G(3), G(4) of each level in ``levels``, in the resolvent form above.
 
@@ -212,30 +205,6 @@ def improved_energies(r: RedividedProblem, order: int = 4) -> ImprovedSpectrum:
     return ImprovedSpectrum(order=order, energies=energies, g_terms=g_terms)
 
 
-def first_order_amplitude(
-    r: RedividedProblem,
-    spectrum: ImprovedSpectrum,
-    gamma: int,
-    beta: int,
-    t: float,
-    hbar: float,
-) -> complex:
-    """First-order amplitude for finding level gamma having started in beta.
-
-    Returns (g1[gamma, beta] / (d_gamma - d_beta)) * (1 - exp(i w~ t / hbar))
-    with w~ = E~_gamma - E~_beta from ``spectrum``. The prefactor keeps the
-    plain diagonal gap; only the oscillating phase is improved. Zero
-    coupling gives exactly zero.
-    """
-    _check_pair(r, gamma, beta, hbar)
-    coupling = r.g1[gamma, beta]
-    if coupling == 0.0:
-        return 0.0 + 0.0j
-    gap = _checked_gap(r, gamma, beta, r.degeneracy_tol)
-    omega_tilde = spectrum.energies[gamma] - spectrum.energies[beta]
-    return complex((coupling / gap) * (1.0 - np.exp(1j * omega_tilde * t / hbar)))
-
-
 @dataclass(frozen=True)
 class TransitionResult:
     """A transition probability plus the phase its sin^2 actually used."""
@@ -277,7 +246,9 @@ def transition_probability_improved(
     coupling = r.g1[gamma, beta]
     if coupling == 0.0:
         return TransitionResult(gamma, beta, 0.0, argument)
-    omega = _checked_gap(r, gamma, beta, r.degeneracy_tol)
+    omega = r.d[gamma] - r.d[beta]
+    if abs(omega) <= r.degeneracy_tol:
+        raise DegenerateDenominator(gamma, beta)
     envelope = (coupling.real**2 + coupling.imag**2) / (omega / 2.0) ** 2
     return TransitionResult(gamma, beta, envelope * np.sin(argument) ** 2, argument)
 

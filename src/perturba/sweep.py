@@ -77,18 +77,8 @@ def sweep_grid(spec: SweepSpec) -> NDArray[np.float64]:
     return np.geomspace(spec.start, spec.stop, int(spec.samples))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    x: float
-    p_exact: float
-    p_improved: float
-    p_traditional: float
-    dev_improved: float
-    dev_traditional: float
-
-
 class SweepTable:
-    """Columnar sweep result; behaves as a sequence of SweepRow."""
+    """Columnar sweep result: the grid, the three curves and their deviations."""
 
     def __init__(self, x, p_exact, p_improved, p_traditional):
         self.x = np.asarray(x, dtype=np.float64)
@@ -100,20 +90,6 @@ class SweepTable:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def __getitem__(self, index: int) -> SweepRow:
-        return SweepRow(
-            float(self.x[index]),
-            float(self.p_exact[index]),
-            float(self.p_improved[index]),
-            float(self.p_traditional[index]),
-            float(self.dev_improved[index]),
-            float(self.dev_traditional[index]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 def run_sweep(spec: SweepSpec, config: HyperfineConfig) -> SweepTable:
@@ -313,24 +289,18 @@ def _write_atomically(path, write) -> int:
     return written
 
 
-def emit_csv(rows, destination) -> int:
-    """Write rows as CSV (17 significant digits, '\\n' endings); return bytes written.
+def emit_csv(table: SweepTable, destination) -> int:
+    """Write a table as CSV (17 significant digits, '\\n' endings); return bytes written.
 
-    ``rows`` is a SweepTable or any iterable of SweepRow; ``destination``
-    a path or an open text stream. Numbers round-trip bit-exactly through
-    the emitted text. Raises on empty input before touching the
+    The six columns are read by name from ``table``; ``destination`` is a
+    path or an open text stream. Numbers round-trip bit-exactly through
+    the emitted text. Raises on an empty table before touching the
     destination, and wraps write errors in IoFailure. A path is written
     through a temporary file in the same directory, so a failed write
     leaves an existing file unchanged.
     """
-    if isinstance(rows, SweepTable):
-        columns = [getattr(rows, name) for name in _COLUMNS]
-    else:
-        matrix = np.array(
-            [[getattr(row, name) for name in _COLUMNS] for row in rows], dtype=np.float64
-        ).reshape(-1, len(_COLUMNS))
-        columns = list(matrix.T)
-    count = len(columns[0])
+    columns = [getattr(table, name) for name in _COLUMNS]
+    count = len(table)
     if count == 0:
         raise InvalidSweepSpec("refusing to emit CSV for zero rows")
 

@@ -2,7 +2,8 @@
 
 These are deliberately naive translations of the correction-sum
 definitions (dense loops, no skip logic), a cyclic-Jacobi eigensolver,
-and a random-problem generator, kept apart from the package so the
+a random-problem generator, and the slow CSV formatter with a table
+stand-in to feed it arbitrary values, kept apart from the package so the
 engine and its checks cannot share a bug.
 """
 
@@ -115,6 +116,25 @@ def order_scaling_slopes(seed, lams, n_problems, exact_eigenvalues):
         slopes4.append(np.polyfit(log_lams, np.log(errs4), 1)[0])
         slopes2.append(np.polyfit(log_lams, np.log(errs2), 1)[0])
     return np.asarray(slopes4), np.asarray(slopes2)
+
+
+class ColumnTable:
+    """Stand-in for ``SweepTable`` over any (n, 6) matrix: the six CSV
+    columns by name, and ``len``. Lets the CSV kernel be fed values no
+    sweep produces (nan, inf, subnormals, raw bit patterns)."""
+
+    def __init__(self, matrix):
+        (
+            self.x,
+            self.p_exact,
+            self.p_improved,
+            self.p_traditional,
+            self.dev_improved,
+            self.dev_traditional,
+        ) = np.asarray(matrix, dtype=np.float64).reshape(-1, 6).T
+
+    def __len__(self):
+        return self.x.shape[0]
 
 
 def reference_csv_rows(rows):

@@ -147,6 +147,18 @@ class TestMain:
         config.write_text("fine_structure = 0.007\n")
         assert main(["--config", str(config)] + BASE_ARGS) == 1
 
+    @pytest.mark.parametrize(
+        "line", ["mu_e = nan", "planck_h = 0", "delta_nu_h = -1e9", "elementary_charge = inf"]
+    )
+    def test_invalid_constant_exits_one(self, tmp_path, capsys, line):
+        config = tmp_path / "constants.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["--config", str(config)] + BASE_ARGS + ["--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("perturba: error: ") and "must be finite and > 0" in err
+
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")] + BASE_ARGS) == 2
 

@@ -1,4 +1,4 @@
-"""Eigensolver, spectral evolution, and matrix-element checks."""
+"""Hermitian validation, eigensolver, and spectral evolution checks."""
 
 import math
 
@@ -14,8 +14,8 @@ from perturba import (
     NonHermitianInput,
     eigendecompose,
     evolve,
-    matrix_element,
     pauli_operators,
+    require_hermitian,
 )
 from perturba.hermitian import _order_and_fix_phase
 
@@ -68,11 +68,40 @@ def taylor_propagator(h, t, hbar, order=12):
     return u
 
 
+class TestRequireHermitian:
+    def test_zero_matrix_passes(self):
+        assert np.array_equal(require_hermitian(np.zeros((3, 3))), np.zeros((3, 3)))
+
+    def test_asymmetry_at_hyperfine_scale_is_rejected(self):
+        # entries ~1e-6, as in the hyperfine problem in eV, with a relative
+        # asymmetry of 1e-12: an absolute 1e-13 bound would accept it
+        h = 1e-6 * pauli_operators()[0]
+        require_hermitian(h)
+        h[1, 2] += 1e-12 * np.max(np.abs(h))
+        with pytest.raises(NonHermitianInput, match="not Hermitian"):
+            require_hermitian(h)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_verdict_does_not_depend_on_units(self, scale):
+        h = random_hermitian(np.random.default_rng(17), 5)
+        h_max = np.max(np.abs(h))
+        require_hermitian(scale * h)
+        slightly_off = h.copy()
+        slightly_off[0, 3] += 1e-15 * h_max
+        require_hermitian(scale * slightly_off)
+        far_off = h.copy()
+        far_off[0, 3] += 1e-11 * h_max
+        with pytest.raises(NonHermitianInput):
+            require_hermitian(scale * far_off)
+
+
 class TestEigendecompose:
     def test_identity(self):
         dec = eigendecompose(np.eye(2))
         assert np.array_equal(dec.eigenvalues, [1.0, 1.0])
         assert np.array_equal(dec.eigenvectors, np.eye(2))
+        e1 = np.array([1.0, 0.0, 0.0])
+        assert np.vdot(e1, require_hermitian(np.eye(3)) @ e1) == 1.0 + 0.0j
 
     def test_already_diagonal(self):
         dec = eigendecompose(np.diag([-3.0, 1.0]))
@@ -299,23 +328,3 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(dec, np.array([1.0, 0.0]), 1.0, 0.0)
 
-
-class TestMatrixElement:
-    def test_unit_basis_identity(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert matrix_element(e1, np.eye(3), e1) == 1.0 + 0.0j
-
-    @given(seed=st.integers(0, 10**6), dim=st.integers(1, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_conjugate_symmetry(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        m = random_hermitian(rng, dim)
-        a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        lhs = matrix_element(a, m, b)
-        rhs = matrix_element(b, m, a)
-        assert abs(lhs - np.conj(rhs)) <= 1e-13 * max(abs(lhs), 1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matrix_element(np.zeros(2), np.eye(3), np.zeros(3))

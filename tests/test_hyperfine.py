@@ -9,12 +9,10 @@ from perturba import (
     PhysicalConstants,
     angular_rates,
     build_problem,
-    coupled_basis,
     eigendecompose,
     exact_eigensystem_closed_form,
     improved_energies,
     improved_energies_closed_form,
-    normalization_factor,
     normalized_probabilities,
     pauli_operators,
     redivide,
@@ -68,39 +66,56 @@ class TestConstants:
         assert HyperfineConfig(b_field=1e-3).is_perturbative
         assert not HyperfineConfig(b_field=0.036).is_perturbative
 
+    @pytest.mark.parametrize(
+        "name", ["mu_e", "delta_nu_h", "planck_h", "elementary_charge"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_constants_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PhysicalConstants(**{name: value})
+
     def test_negative_field_rejected(self):
         with pytest.raises(ValueError):
             HyperfineConfig(b_field=-1e-3)
 
 
+def coupled_basis():
+    """phi1..phi4 as build_problem uses them: the integer columns over their norms."""
+    return (hyperfine._BASIS_INT / np.sqrt([1.0, 2.0, 1.0, 2.0])).T
+
+
 class TestBasisAndBuild:
     def test_basis_orthonormal(self):
-        m = coupled_basis().matrix
+        m = coupled_basis().T
         assert np.max(np.abs(m.T @ m - np.eye(4))) <= 1e-15
+        # the rescale divides by the integer columns' squared norms, exactly
+        norms2 = np.diag(hyperfine._BASIS_INT.T @ hyperfine._BASIS_INT)
+        assert np.array_equal(norms2, [1.0, 2.0, 1.0, 2.0])
+        assert np.array_equal(hyperfine._RESCALE, np.sqrt(np.outer(norms2, norms2)))
 
     def test_basis_vectors(self):
-        b = coupled_basis()
+        phi1, phi2, phi3, phi4 = coupled_basis()
         r = 1.0 / np.sqrt(2.0)
-        np.testing.assert_array_equal(b.phi1, [1, 0, 0, 0])
-        np.testing.assert_array_equal(b.phi2, [0, r, r, 0])
-        np.testing.assert_array_equal(b.phi3, [0, 0, 0, 1])
-        np.testing.assert_array_equal(b.phi4, [0, r, -r, 0])
+        np.testing.assert_array_equal(phi1, [1, 0, 0, 0])
+        np.testing.assert_array_equal(phi2, [0, r, r, 0])
+        np.testing.assert_array_equal(phi3, [0, 0, 0, 1])
+        np.testing.assert_array_equal(phi4, [0, r, -r, 0])
 
     def test_spin_coupling_eigenvectors(self):
         spin_dot, _, _ = pauli_operators()
-        b = coupled_basis()
-        np.testing.assert_array_equal(spin_dot @ b.phi1, b.phi1)
-        np.testing.assert_array_equal(spin_dot @ b.phi2, b.phi2)
-        np.testing.assert_array_equal(spin_dot @ b.phi3, b.phi3)
-        np.testing.assert_array_equal(spin_dot @ b.phi4, -3.0 * b.phi4)
+        phi1, phi2, phi3, phi4 = coupled_basis()
+        np.testing.assert_array_equal(spin_dot @ phi1, phi1)
+        np.testing.assert_array_equal(spin_dot @ phi2, phi2)
+        np.testing.assert_array_equal(spin_dot @ phi3, phi3)
+        np.testing.assert_array_equal(spin_dot @ phi4, -3.0 * phi4)
 
     def test_zeeman_swaps_triplet_zero_and_singlet(self):
         _, sigma_ez, _ = pauli_operators()
-        b = coupled_basis()
-        np.testing.assert_array_equal(sigma_ez @ b.phi1, b.phi1)
-        np.testing.assert_array_equal(sigma_ez @ b.phi2, b.phi4)
-        np.testing.assert_array_equal(sigma_ez @ b.phi3, -b.phi3)
-        np.testing.assert_array_equal(sigma_ez @ b.phi4, b.phi2)
+        phi1, phi2, phi3, phi4 = coupled_basis()
+        np.testing.assert_array_equal(sigma_ez @ phi1, phi1)
+        np.testing.assert_array_equal(sigma_ez @ phi2, phi4)
+        np.testing.assert_array_equal(sigma_ez @ phi3, -phi3)
+        np.testing.assert_array_equal(sigma_ez @ phi4, phi2)
 
     def test_build_matches_displayed_matrix_at_unit_values(self):
         config = HyperfineConfig(b_field=1.0, constants=unit_constants())
@@ -159,9 +174,9 @@ class TestBasisAndBuild:
         # H1 phi2 = (B mu_e) phi4 in the product basis
         config = HyperfineConfig(b_field=1e-3)
         _, sigma_ez, _ = pauli_operators()
-        b = coupled_basis()
+        _, phi2, _, phi4 = coupled_basis()
         h1_product = config.coupling_ev * sigma_ez
-        np.testing.assert_array_equal(h1_product @ b.phi2, config.coupling_ev * b.phi4)
+        np.testing.assert_array_equal(h1_product @ phi2, config.coupling_ev * phi4)
 
     def test_zero_field(self):
         config = HyperfineConfig(b_field=0.0)
@@ -297,7 +312,7 @@ class TestNormalizedCurves:
             problem = build_problem(config)
             r = redivide(problem)
             spectrum = improved_energies(r, 4)
-            factor = normalization_factor(config)
+            factor = (2.0 * config.constants.w_ev / config.coupling_ev) ** 2
             pT, pI, p = normalized_probabilities(config, t)
             raw_exact = transition_probability_exact(problem, 3, 1, t, hbar)
             raw_improved = transition_probability_improved(r, spectrum, 3, 1, t, hbar)
@@ -305,10 +320,6 @@ class TestNormalizedCurves:
             assert raw_exact.probability * factor == pytest.approx(pT, abs=1e-12)
             assert raw_improved.probability * factor == pytest.approx(pI, abs=1e-12)
             assert raw_traditional.probability * factor == pytest.approx(p, abs=1e-12)
-
-    def test_normalization_factor_undefined_at_zero_field(self):
-        with pytest.raises(ValueError):
-            normalization_factor(HyperfineConfig(b_field=0.0))
 
     def test_amplitude_envelope_at_strong_field(self):
         # at 0.036 T the exact curve's ceiling drops visibly below 1 while

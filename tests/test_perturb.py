@@ -8,7 +8,6 @@ from perturba import (
     NonHermitianInput,
     PerturbationProblem,
     RedividedProblem,
-    first_order_amplitude,
     g2,
     g3,
     g4,
@@ -240,17 +239,38 @@ class TestAmplitudesAndProbabilities:
         self.spectrum = improved_energies(self.r, 4)
 
     def test_amplitude_zero_at_t0(self):
-        assert first_order_amplitude(self.r, self.spectrum, 3, 1, 0.0, 1.0) == 0j
+        # P is the squared amplitude (g1 / w)(1 - exp(i w~ t / hbar)), which
+        # vanishes at t = 0 for every pair and truncation order
+        for order in (1, 2, 4):
+            spectrum = improved_energies(self.r, order)
+            for gamma, beta in ((3, 1), (1, 3), (2, 0)):
+                res = transition_probability_improved(self.r, spectrum, gamma, beta, 0.0, 1.0)
+                assert res.probability == 0.0
+                assert res.angular_argument == 0.0
 
     def test_amplitude_zero_without_coupling(self):
-        assert first_order_amplitude(self.r, self.spectrum, 2, 0, 5.0, 1.0) == 0j
+        # levels 0 and 2 are uncoupled: exactly zero, yet the phase is reported
+        res = transition_probability_improved(self.r, self.spectrum, 2, 0, 5.0, 1.0)
+        assert res.probability == 0.0
+        energies = self.spectrum.energies
+        assert res.angular_argument == (energies[2] - energies[0]) * 5.0 / 2.0
 
     def test_amplitude_squared_equals_improved_probability(self):
-        # |1 - e^{i theta}|^2 = 4 sin^2(theta / 2)
-        for t in (1e-3, 0.4, 2.0, 17.0):
-            amp = first_order_amplitude(self.r, self.spectrum, 3, 1, t, 1.0)
-            res = transition_probability_improved(self.r, self.spectrum, 3, 1, t, 1.0)
-            assert abs(amp) ** 2 == pytest.approx(res.probability, rel=1e-12, abs=1e-30)
+        # |1 - e^{i theta}|^2 = 4 sin^2(theta / 2): the squared first-order
+        # amplitude and |g1|^2 sin^2(w~ t / 2 hbar) / (w / 2)^2 agree with P
+        coupling = self.r.g1[3, 1]
+        omega = self.r.d[3] - self.r.d[1]
+        omega_tilde = self.spectrum.energies[3] - self.spectrum.energies[1]
+        for t, hbar in ((1e-3, 1.0), (0.4, 1.0), (2.0, 0.5), (17.0, 3.0)):
+            res = transition_probability_improved(self.r, self.spectrum, 3, 1, t, hbar)
+            formula = (
+                abs(coupling) ** 2
+                * np.sin(omega_tilde * t / (2.0 * hbar)) ** 2
+                / (omega / 2.0) ** 2
+            )
+            amplitude = (coupling / omega) * (1.0 - np.exp(1j * omega_tilde * t / hbar))
+            assert res.probability == pytest.approx(formula, rel=1e-12, abs=1e-30)
+            assert abs(amplitude) ** 2 == pytest.approx(res.probability, rel=1e-12, abs=1e-30)
 
     def test_improved_probability_zero_at_t0(self):
         res = transition_probability_improved(self.r, self.spectrum, 3, 1, 0.0, 1.0)
@@ -308,5 +328,9 @@ class TestAmplitudesAndProbabilities:
         e0 = np.array([1.0, 1.0])
         h1 = np.array([[0.0, 0.1], [0.1, 0.0]], dtype=complex)
         r = redivide(PerturbationProblem(e0=e0, h1=h1))
-        with pytest.raises(DegenerateDenominator):
+        with pytest.raises(DegenerateDenominator) as err:
             transition_probability_traditional(r, 1, 0, 1.0, 1.0)
+        assert (err.value.beta, err.value.other) == (1, 0)
+        with pytest.raises(DegenerateDenominator) as err:
+            transition_probability_improved(r, improved_energies(r, 1), 0, 1, 1.0, 1.0)
+        assert (err.value.beta, err.value.other) == (0, 1)

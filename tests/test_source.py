@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import perturba
@@ -17,3 +18,17 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_exports_match_the_namespace():
+    # every exported name resolves, and every public name bound in the
+    # package (submodules aside) is exported
+    exported = set(perturba.__all__)
+    assert len(exported) == len(perturba.__all__)
+    assert [name for name in perturba.__all__ if not hasattr(perturba, name)] == []
+    public = {
+        name
+        for name, value in vars(perturba).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == exported - {"__version__"}

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_csv_rows
+from oracles import ColumnTable, reference_csv_rows
 
 from perturba import (
     HyperfineConfig,
     InvalidSweepSpec,
     IoFailure,
-    SweepRow,
     SweepSpec,
+    SweepTable,
     divergence_report,
     emit_csv,
     run_sweep,
@@ -94,10 +94,11 @@ class TestRunSweep:
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-8, samples=11)
         table = run_sweep(spec, CONFIG)
         assert len(table) == 11
-        row = table[3]
-        assert isinstance(row, SweepRow)
-        assert row.dev_improved == abs(row.p_improved - row.p_exact)
-        assert row.dev_traditional == abs(row.p_traditional - row.p_exact)
+        for name in ("x", "p_exact", "p_improved", "p_traditional",
+                     "dev_improved", "dev_traditional"):
+            assert getattr(table, name).shape == (11,)
+        assert table.dev_improved[3] == abs(table.p_improved[3] - table.p_exact[3])
+        assert table.dev_traditional[3] == abs(table.p_traditional[3] - table.p_exact[3])
 
     def test_deviations_match_columns_exactly(self):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1.0, samples=1000)
@@ -173,10 +174,7 @@ class TestDivergenceReport:
 
 class TestEmitCsv:
     def rows(self):
-        return [
-            SweepRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-            SweepRow(0.5, 0.25, 1.0 / 3.0, 0.125, 1.0 / 12.0, 0.125),
-        ]
+        return SweepTable([0.0, 0.5], [0.0, 0.25], [0.0, 1.0 / 3.0], [0.0, 0.125])
 
     def test_two_rows_three_lines(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -206,7 +204,7 @@ class TestEmitCsv:
     def test_empty_rows_rejected_without_creating_file(self, tmp_path):
         target = tmp_path / "nope.csv"
         with pytest.raises(InvalidSweepSpec):
-            emit_csv([], target)
+            emit_csv(SweepTable([], [], [], []), target)
         assert not target.exists()
 
     def test_stream_destination(self):
@@ -223,7 +221,7 @@ def assert_matches_reference(matrix):
     """emit_csv of the rows of ``matrix`` equals the per-value '%.16e' text."""
     rows = np.asarray(matrix, dtype=np.float64).reshape(-1, 6).tolist()
     buffer = io.StringIO()
-    written = emit_csv([SweepRow(*row) for row in rows], buffer)
+    written = emit_csv(ColumnTable(matrix), buffer)
     expected = CSV_HEADER + "\n" + reference_csv_rows(rows)
     assert buffer.getvalue() == expected
     assert written == len(expected)
@@ -338,9 +336,9 @@ class TestCsvKernel:
         target = tmp_path / "sweep.csv"
         assert emit_csv(table, target) == len(expected)
         assert target.read_bytes() == expected.encode("ascii")
-        from_rows = io.StringIO()
-        emit_csv(list(table), from_rows)
-        assert from_rows.getvalue() == expected
+        stream = io.StringIO()
+        assert emit_csv(table, stream) == len(expected)
+        assert stream.getvalue() == expected
 
 
 class TestAtomicCsvFile:
