@@ -100,8 +100,6 @@ class TestEigendecompose:
         dec = eigendecompose(np.eye(2))
         assert np.array_equal(dec.eigenvalues, [1.0, 1.0])
         assert np.array_equal(dec.eigenvectors, np.eye(2))
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert np.vdot(e1, require_hermitian(np.eye(3)) @ e1) == 1.0 + 0.0j
 
     def test_already_diagonal(self):
         dec = eigendecompose(np.diag([-3.0, 1.0]))
@@ -328,3 +326,10 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(dec, np.array([1.0, 0.0]), 1.0, 0.0)
 
+
+class TestMatrixElement:
+    """<bra|H|ket> is np.vdot(bra, H @ ket) on a validated matrix."""
+
+    def test_unit_basis_identity(self):
+        e1 = np.array([1.0, 0.0, 0.0])
+        assert np.vdot(e1, require_hermitian(np.eye(3)) @ e1) == 1.0 + 0.0j
