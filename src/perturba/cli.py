@@ -138,12 +138,8 @@ def main(argv=None) -> int:
 
         table = run_sweep(spec, config)
 
-        if args.out:
-            emit_csv(table, args.out)
-            report_stream = sys.stdout
-        else:
-            emit_csv(table, sys.stdout)
-            report_stream = sys.stderr
+        emit_csv(table, args.out or sys.stdout)
+        report_stream = sys.stdout if args.out else sys.stderr
 
         if args.threshold is not None:
             t_traditional, t_improved = first_crossings(table, args.threshold)

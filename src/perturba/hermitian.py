@@ -25,13 +25,17 @@ HERMITICITY_RTOL = 1e-13
 
 
 def require_hermitian(matrix) -> NDArray[np.complex128]:
-    """Validate and return ``matrix`` as a square complex Hermitian array.
+    """Validate ``matrix`` and return it as an exactly Hermitian complex array.
 
     Raises NonHermitianInput if the matrix is not square, contains
     non-finite entries, or violates
     ``|m[i, j] - conj(m[j, i])| <= HERMITICITY_RTOL * max |m|`` (which also
     bounds diagonal imaginary parts). The bound scales with the matrix, so
     the same matrix passes or fails in any unit system; a zero matrix passes.
+
+    An accepted asymmetry is projected out as m/2 + m^H/2, which is exactly
+    Hermitian with a real diagonal; an exactly Hermitian input comes back as
+    a bit-identical copy. Callers rely on that and check nothing again.
     """
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -44,6 +48,8 @@ def require_hermitian(matrix) -> NDArray[np.complex128]:
         raise NonHermitianInput(
             f"matrix is not Hermitian: max |m - m^H| = {asym:.3e} > {bound:.3e}"
         )
+    if asym > 0.0:  # halve first, so the sum cannot overflow
+        m = 0.5 * m + 0.5 * m.conj().T
     return m
 
 

@@ -118,10 +118,8 @@ def _read_only(*arrays):
     return arrays
 
 
-# constant algebra for build_problem, built once: the product-basis
-# operators, the unnormalized integer coupled-basis columns (phi1..phi4
-# times 1, sqrt(2), 1, sqrt(2)) and the exact rescale by their norms
-_SPIN_DOT, _SIGMA_EZ, _ = _read_only(*pauli_operators())
+# the unnormalized integer coupled-basis columns (phi1..phi4 times 1,
+# sqrt(2), 1, sqrt(2)) and the exact rescale by their norms
 _BASIS_INT, _RESCALE = _read_only(
     np.array(
         [
@@ -135,28 +133,26 @@ _BASIS_INT, _RESCALE = _read_only(
 )
 
 
+# sigma_e . sigma_p and sigma_ez in the coupled basis, built once: H = W E0 + x Z.
+# The integer columns and the exact rescale divide every nonzero entry by
+# exactly 1 or 2, so no 1/sqrt(2) roundoff leaks into the matrices.
+_H0, _ZEEMAN = (_BASIS_INT.T @ op @ _BASIS_INT / _RESCALE for op in pauli_operators()[:2])
+if np.any(_H0 != np.diag(np.diag(_H0))):
+    raise RuntimeError("the coupled basis does not diagonalize sigma_e . sigma_p")
+_E0, _ZEEMAN = _read_only(np.diag(_H0).copy(), _ZEEMAN)
+
+
 def build_problem(config: HyperfineConfig) -> PerturbationProblem:
-    """Assemble the 4x4 hyperfine + Zeeman problem in the coupled basis.
+    """The 4x4 hyperfine + Zeeman problem in the coupled basis: e0 = W E0, h1 = x Z.
 
-    Built from explicit Pauli tensor algebra in the product basis and then
-    transformed, rather than hard-coded, so the structure of the matrices
-    (e0 = (W, W, W, -3W); Zeeman diagonal (x, 0, -x, 0) with the single
-    phi2/phi4 coupling x = B mu_e) is a computed consequence of
-    sigma_ez phi2 = phi4 and friends.
-
-    The transform sandwiches with unnormalized integer basis columns and
-    rescales by the exact squared norms afterwards, so every nonzero
-    entry is divided by exactly 1 or 2 and no 1/sqrt(2) roundoff leaks
-    into the matrices.
+    E0 = (1, 1, 1, -3) and Z (diagonal (1, 0, -1, 0), one phi2/phi4 coupling)
+    are computed from Pauli algebra, not hard-coded. Scaling them gives the
+    same bits as transforming W sigma_e . sigma_p and x sigma_ez directly;
+    the + 0.0 turns the -0.0 that x = 0 leaves at Z[2, 2] into +0.0.
     """
-    w = config.constants.w_ev
-    x = config.coupling_ev
-    h0_coupled = (_BASIS_INT.T @ (w * _SPIN_DOT) @ _BASIS_INT) / _RESCALE
-    h1_coupled = (_BASIS_INT.T @ (x * _SIGMA_EZ) @ _BASIS_INT) / _RESCALE
-    if np.any(h0_coupled != np.diag(np.diag(h0_coupled))):
-        raise RuntimeError("the coupled basis does not diagonalize W sigma_e . sigma_p")
-
-    return PerturbationProblem(e0=np.diag(h0_coupled).copy(), h1=h1_coupled)
+    return PerturbationProblem(
+        e0=config.constants.w_ev * _E0, h1=config.coupling_ev * _ZEEMAN + 0.0
+    )
 
 
 def _gaps(w: float, x):
@@ -207,16 +203,14 @@ def exact_eigensystem_closed_form(
 def improved_energies_closed_form(config: HyperfineConfig) -> NDArray[np.float64]:
     """The four improved energies, label order matching the exact system.
 
-    E~1 = W + B mu_e and E~3 = W - B mu_e are exact; levels 2 and 4 pick
-    up the symmetric +-((B mu_e)^2 / 4W - (B mu_e)^4 / (4W)^3) corrections.
+    E~1 = W + B mu_e and E~3 = W - B mu_e are exact; levels 2 and 4 are
+    -W +- the improved gap 2W + (B mu_e)^2 / 4W - (B mu_e)^4 / (4W)^3, as
+    the exact system has -W +- the exact gap.
     """
     w = config.constants.w_ev
     x = config.coupling_ev
-    quadratic = x * x / (4.0 * w)
-    quartic = x**4 / (4.0 * w) ** 3
-    return np.array(
-        [w + x, w + quadratic - quartic, w - x, -3.0 * w - quadratic + quartic]
-    )
+    improved = _gaps(w, x)[1]
+    return np.array([w + x, -w + improved, w - x, -w - improved])
 
 
 def angular_rates(constants: PhysicalConstants, b_field):

@@ -17,6 +17,10 @@ R = diag(1 / (d_beta - d_b)), zero at b = beta and across degenerate gaps,
 G(2) = g1 R g1, G(3) = g1 R g1 R g1 and G(4) = g1 R g1 R g1 R g1 minus
 G(2) sum_b |g1[beta, b]|^2 R_b^2, each taken at [beta, beta].
 
+Both problem types validate once, at construction, through
+``hermitian.require_hermitian``; its exactly Hermitian result makes every G
+sum real up to roundoff, so the sums keep their real parts unchecked.
+
 Everything is a pure function over immutable inputs; sweeps may evaluate
 these in parallel without coordination.
 """
@@ -29,10 +33,24 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import hermitian
-from .errors import DegenerateDenominator, DimensionMismatch, NonHermitianInput
+from .errors import DegenerateDenominator, DimensionMismatch
 
 #: gaps smaller than this fraction of max|d| count as degenerate
 DEGENERACY_RTOL = 1e-15
+
+
+def _validate(problem, vector: str, matrix: str) -> None:
+    """Store the named fields as a finite real vector and a matching Hermitian matrix."""
+    m = hermitian.require_hermitian(getattr(problem, matrix))
+    v = np.asarray(getattr(problem, vector), dtype=np.float64)
+    if v.ndim != 1 or v.shape[0] != m.shape[0]:
+        raise DimensionMismatch(
+            f"{vector} has shape {v.shape} but {matrix} is {m.shape[0]}x{m.shape[1]}"
+        )
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{vector} contains non-finite entries")
+    object.__setattr__(problem, vector, v)
+    object.__setattr__(problem, matrix, m)
 
 
 @dataclass(frozen=True)
@@ -43,16 +61,7 @@ class PerturbationProblem:
     h1: NDArray[np.complex128]
 
     def __post_init__(self):
-        e0 = np.asarray(self.e0, dtype=np.float64)
-        h1 = hermitian.require_hermitian(self.h1)
-        if e0.ndim != 1 or e0.shape[0] != h1.shape[0]:
-            raise DimensionMismatch(
-                f"e0 has shape {e0.shape} but h1 is {h1.shape[0]}x{h1.shape[1]}"
-            )
-        if not np.all(np.isfinite(e0)):
-            raise ValueError("e0 contains non-finite entries")
-        object.__setattr__(self, "e0", e0)
-        object.__setattr__(self, "h1", h1)
+        _validate(self, "e0", "h1")
 
     @property
     def dim(self) -> int:
@@ -68,6 +77,9 @@ class RedividedProblem:
 
     d: NDArray[np.float64]
     g1: NDArray[np.complex128]
+
+    def __post_init__(self):
+        _validate(self, "d", "g1")
 
     @property
     def dim(self) -> int:
@@ -120,19 +132,11 @@ def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     weights = g1.real**2 + g1.imag**2
     g_terms[:, 0] = np.sum(weights * resolvent, axis=1)
     v = resolvent * g1.T
-    abs_g1, abs_r, abs_v = np.abs(g1), np.abs(resolvent), np.abs(v)
-    path, path_abs = g1 * resolvent, abs_g1 * abs_r
+    path = g1 * resolvent
     for k in range(1, order - 1):  # each order adds one g1 R hop to the path
-        path, path_abs = path @ g1, path_abs @ abs_g1
-        total = np.sum(path * v, axis=1)
-        # Hermiticity cancels the imaginary part up to roundoff of sum |term|
-        budget = np.sum(path_abs * abs_v, axis=1)
-        residual = (np.abs(total.imag) > 1e-12 * budget + 1e-300)[levels]
-        if np.any(residual):
-            beta = levels[np.argmax(residual)]
-            raise NonHermitianInput(f"Hermiticity violated in G{k + 2} of level {beta}")
-        g_terms[:, k] = total.real
-        path, path_abs = path * resolvent, path_abs * abs_r
+        path = path @ g1
+        g_terms[:, k] = np.sum(path * v, axis=1).real
+        path = path * resolvent
     if order >= 4:
         g_terms[:, 2] -= g_terms[:, 0] * np.sum(weights * resolvent**2, axis=1)
     return g_terms[levels]
@@ -152,9 +156,6 @@ def g3(r: RedividedProblem, beta: int) -> float:
 
     sum over b1, b2 != beta of
         g1[beta, b1] g1[b1, b2] g1[b2, beta] / ((d_beta - d_b1)(d_beta - d_b2)).
-
-    Hermiticity makes the total real; a residual imaginary part above
-    roundoff of the summed term magnitudes raises NonHermitianInput.
     """
     return float(_g_sums(r, [beta], 3)[0, 1])
 
@@ -195,11 +196,13 @@ class ImprovedSpectrum:
 def improved_energies(r: RedividedProblem, order: int = 4) -> ImprovedSpectrum:
     """Build E~_b = d_b + G_b(2) + ... + G_b(order) for every level.
 
-    ``order`` 1 returns the redivided diagonal itself. Degenerate
+    ``order`` 1 returns the redivided diagonal itself; ``order`` must be an
+    integer (Python or numpy, not bool) in 1..4, else ValueError. Degenerate
     denominators propagate from the G sums.
     """
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"order must be 1..4, got {order}")
+    if type(order) is bool or not isinstance(order, (int, np.integer)) or not 0 < order < 5:
+        raise ValueError(f"order must be an integer in 1..4, got {order!r}")
+    order = int(order)
     g_terms = _g_sums(r, np.arange(r.dim), order)
     energies = r.d + g_terms[:, 0] + g_terms[:, 1] + g_terms[:, 2]
     return ImprovedSpectrum(order=order, energies=energies, g_terms=g_terms)

@@ -68,7 +68,52 @@ def taylor_propagator(h, t, hbar, order=12):
     return u
 
 
+# any finite float, including +-0.0 and subnormals
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def exact_hermitian(draw, min_dim=0):
+    """An exactly Hermitian complex matrix: each lower entry is the
+    conjugate of its upper mirror, and diagonal imaginary parts are +-0.0."""
+    n = draw(st.integers(min_dim, 5))
+    parts = draw(st.lists(FINITE, min_size=2 * n * n, max_size=2 * n * n))
+    h = np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n)
+    lower = np.tril_indices(n, -1)
+    h[lower] = h.T[lower].conj()
+    zero_signs = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+    h.imag[np.diag_indices(n)] = zero_signs
+    return h
+
+
 class TestRequireHermitian:
+    @given(h=exact_hermitian())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_hermitian_input_is_returned_bit_for_bit(self, h):
+        out = require_hermitian(h)
+        assert out.dtype == np.complex128 and out.shape == h.shape
+        assert out.tobytes() == h.tobytes()
+
+    @given(
+        h=exact_hermitian(min_dim=1),
+        where=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        rel=st.tuples(st.floats(-3e-13, 3e-13), st.floats(-3e-13, 3e-13)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_output_is_exactly_hermitian(self, h, where, rel):
+        # offsets near the relative bound, so both verdicts are drawn
+        i, j = where[0] % h.shape[0], where[1] % h.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.max(np.abs(h))
+            h[i, j] += complex(rel[0] * scale, rel[1] * scale)
+        try:
+            out = require_hermitian(h)
+        except NonHermitianInput:
+            return
+        assert np.all(np.isfinite(out.view(np.float64)))
+        assert np.array_equal(out, out.conj().T)
+        assert np.all(np.diag(out).imag == 0.0)
+
     def test_zero_matrix_passes(self):
         assert np.array_equal(require_hermitian(np.zeros((3, 3))), np.zeros((3, 3)))
 

@@ -167,8 +167,13 @@ class TestBasisAndBuild:
         assert build_problem(HyperfineConfig(b_field=0.0)).e0[0] == PhysicalConstants().w_ev
 
     def test_build_constants_are_read_only(self):
-        for name in ("_SPIN_DOT", "_SIGMA_EZ", "_BASIS_INT", "_RESCALE"):
+        for name in ("_E0", "_ZEEMAN", "_BASIS_INT", "_RESCALE"):
             assert not getattr(hyperfine, name).flags.writeable
+
+    def test_zero_field_has_no_negative_zero(self):
+        # 0 * Z would leave -0.0 where Z is -1; build_problem stores +0.0
+        h1 = build_problem(HyperfineConfig(b_field=0.0)).h1
+        assert not np.any(np.signbit(h1.real) | np.signbit(h1.imag))
 
     def test_zeeman_action_on_triplet_zero(self):
         # H1 phi2 = (B mu_e) phi4 in the product basis

@@ -5,6 +5,7 @@ import pytest
 
 from perturba import (
     DegenerateDenominator,
+    DimensionMismatch,
     NonHermitianInput,
     PerturbationProblem,
     RedividedProblem,
@@ -41,6 +42,36 @@ def symbolic_problem(w=W, x=X):
         dtype=complex,
     )
     return PerturbationProblem(e0=e0, h1=h1)
+
+
+class TestProblemValidation:
+    # both problem types share one validator: (real vector, Hermitian matrix)
+    KINDS = [(PerturbationProblem, "e0", "h1"), (RedividedProblem, "d", "g1")]
+
+    @pytest.mark.parametrize("kind, vector, matrix", KINDS)
+    def test_shape_mismatch(self, kind, vector, matrix):
+        with pytest.raises(DimensionMismatch):
+            kind(**{vector: np.zeros(2), matrix: np.zeros((3, 3))})
+        with pytest.raises(DimensionMismatch):
+            kind(**{vector: np.zeros((3, 1)), matrix: np.zeros((3, 3))})
+
+    @pytest.mark.parametrize("kind, vector, matrix", KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector(self, kind, vector, matrix, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            kind(**{vector: np.array([0.0, bad]), matrix: np.zeros((2, 2))})
+
+    @pytest.mark.parametrize("kind, vector, matrix", KINDS)
+    def test_non_hermitian_matrix(self, kind, vector, matrix):
+        with pytest.raises(NonHermitianInput):
+            kind(**{vector: np.zeros(2), matrix: np.array([[0.0, 1.0], [0.5, 0.0]])})
+
+    @pytest.mark.parametrize("kind, vector, matrix", KINDS)
+    def test_accepted_asymmetry_is_projected_out(self, kind, vector, matrix):
+        m = np.array([[0.0, 1.0 + 4e-14j], [1.0, 0.0]])
+        stored = getattr(kind(**{vector: np.zeros(2), matrix: m}), matrix)
+        assert np.array_equal(stored, stored.conj().T)
+        assert stored[0, 1] == 1.0 + 2e-14j
 
 
 class TestRedivide:
@@ -168,9 +199,23 @@ class TestCorrectionSums:
         g1 = np.zeros((3, 3), dtype=complex)
         g1[0, 1] = g1[1, 2] = 0.2
         g1[2, 0] = 0.2j
-        r = RedividedProblem(d=np.array([0.0, 1.0, 3.0]), g1=g1)
         with pytest.raises(NonHermitianInput):
-            improved_energies(r, 3)
+            RedividedProblem(d=np.array([0.0, 1.0, 3.0]), g1=g1)
+
+    def test_accepted_asymmetry_reaches_order_four(self):
+        # a 5e-14 imaginary asymmetry passes the relative Hermiticity bound;
+        # the G sums then run on the projected (exactly Hermitian) coupling
+        e0 = np.array([0.0, 3.0, 7.0])
+        h1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        h1[0, 1] = h1[1, 0] = h1[1, 2] = h1[2, 1] = 1e-3
+        h1[0, 1] += 5e-14j
+        r = redivide(PerturbationProblem(e0=e0, h1=h1))
+        assert np.array_equal(r.g1, r.g1.conj().T)
+        assert r.g1[0, 1] == 1e-3 + 2.5e-14j
+        g_terms = improved_energies(r, 4).g_terms
+        for beta in range(3):
+            expected = [brute(r.d, r.g1, beta) for brute in (brute_g2, brute_g3, brute_g4)]
+            np.testing.assert_allclose(g_terms[beta], expected, rtol=1e-12, atol=1e-30)
 
     def test_corrections_real_for_complex_couplings(self):
         rng = np.random.default_rng(55)
@@ -216,8 +261,12 @@ class TestImprovedEnergies:
 
     def test_rejects_bad_order(self):
         r = redivide(symbolic_problem())
-        with pytest.raises(ValueError):
-            improved_energies(r, 5)
+        for order in (0, 5, -1, 4.0, 2.5, "4", None, True, False, np.bool_(True)):
+            with pytest.raises(ValueError):
+                improved_energies(r, order)
+        for order in (np.int64(4), np.int32(2), np.uint8(3)):
+            spectrum = improved_energies(r, order)
+            assert spectrum.order == int(order) and type(spectrum.order) is int
 
     def test_order_scaling_of_exact_agreement(self):
         # errors against the exact spectrum shrink as lam^5 (order 4)

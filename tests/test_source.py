@@ -32,3 +32,20 @@ def test_exports_match_the_namespace():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == exported - {"__version__"}
+
+
+def test_only_hermitian_raises_non_hermitian_input():
+    # one Hermiticity gate: every other module relies on what it returns
+    def raised_name(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None))
+
+    raisers = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and raised_name(node) == "NonHermitianInput"
+    }
+    assert raisers == {"hermitian.py"}
