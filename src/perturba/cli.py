@@ -19,18 +19,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
-from .errors import InvalidSweepSpec, IoFailure
 from .hyperfine import HyperfineConfig, PhysicalConstants
 from .sweep import SweepSpec, emit_csv, first_crossings, run_sweep
+from .sweep import _MODES, _SCALES, _check_divergence
 
 CONFIG_ENV_VAR = "PERTURBA_CONFIG"
 
-_CONSTANT_KEYS = ("mu_e", "delta_nu_h", "planck_h", "elementary_charge")
+_CONSTANT_KEYS = tuple(f.name for f in fields(PhysicalConstants))
 _CONFIG_KEYS = _CONSTANT_KEYS + ("b_field",)
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         "probability curves over time or field and emit plot-ready CSV.",
     )
     parser.add_argument("--config", help=f"key/value constants file (or ${CONFIG_ENV_VAR})")
-    parser.add_argument("--mode", choices=("time", "field"), default="time")
+    parser.add_argument("--mode", choices=_MODES, default="time")
     parser.add_argument(
         "--fixed",
         type=float,
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--start", type=float, required=True)
     parser.add_argument("--stop", type=float, required=True)
     parser.add_argument("--samples", type=int, required=True)
-    parser.add_argument("--scale", choices=("linear", "log"), default="linear")
+    parser.add_argument("--scale", choices=_SCALES, default="linear")
     parser.add_argument(
         "--threshold",
         type=float,
@@ -131,10 +132,7 @@ def main(argv=None) -> int:
         config = HyperfineConfig(b_field=b_field, constants=constants)
 
         if args.threshold is not None:
-            if args.mode != "time":
-                raise _UsageError("--threshold applies to time mode only")
-            if not args.threshold > 0.0:
-                raise _UsageError("--threshold must be positive")
+            _check_divergence(args.mode, args.threshold)
 
         table = run_sweep(spec, config)
 
@@ -146,14 +144,14 @@ def main(argv=None) -> int:
             print(f"first_crossing_traditional = {t_traditional!r}", file=report_stream)
             print(f"first_crossing_improved = {t_improved!r}", file=report_stream)
         return 0
-    except (_UsageError, InvalidSweepSpec, ValueError) as exc:
+    except ValueError as exc:
         print(f"perturba: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         # an oversized --samples: numpy cannot allocate the grid or curves
         print(f"perturba: error: not enough memory for this sweep: {exc}", file=sys.stderr)
         return 1
-    except (IoFailure, OSError) as exc:
+    except OSError as exc:
         print(f"perturba: i/o error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ moment is negative; only |mu_e| appears here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -53,10 +53,10 @@ class PhysicalConstants:
     elementary_charge: float = 1.60217653e-19  # C
 
     def __post_init__(self):
-        for name in ("mu_e", "delta_nu_h", "planck_h", "elementary_charge"):
-            value = getattr(self, name)
+        for constant in fields(self):
+            value = getattr(self, constant.name)
             if not 0.0 < value < math.inf:  # also false for nan
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+                raise ValueError(f"{constant.name} must be finite and > 0, got {value}")
 
     @property
     def mu_e_ev_per_tesla(self) -> float:

@@ -20,6 +20,8 @@ G(2) sum_b |g1[beta, b]|^2 R_b^2, each taken at [beta, beta].
 Both problem types validate once, at construction, through
 ``hermitian.require_hermitian``; its exactly Hermitian result makes every G
 sum real up to roundoff, so the sums keep their real parts unchecked.
+``RedividedProblem`` also rejects a g1 with a nonzero diagonal, so no path
+in the G sums hops from a level to itself.
 
 Everything is a pure function over immutable inputs; sweeps may evaluate
 these in parallel without coordination.
@@ -73,13 +75,19 @@ class PerturbationProblem:
 
 @dataclass(frozen=True)
 class RedividedProblem:
-    """Diagonal energies d = e0 + diag(h1) and the off-diagonal coupling g1."""
+    """Diagonal energies d = e0 + diag(h1) and the off-diagonal coupling g1.
+
+    A nonzero g1 diagonal, after the Hermitian projection, raises
+    ValueError: diagonal terms belong in d.
+    """
 
     d: NDArray[np.float64]
     g1: NDArray[np.complex128]
 
     def __post_init__(self):
         _validate(self, "d", "g1")
+        if self.g1.diagonal().any():
+            raise ValueError("g1 must have a zero diagonal; diagonal terms belong in d")
 
     @property
     def dim(self) -> int:
@@ -118,11 +126,9 @@ def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     resolvent = np.divide(1.0, gap, out=np.zeros_like(gap), where=~masked)
     np.fill_diagonal(masked, False)  # b = beta leaves every sum; it is no degeneracy
 
-    hops = (g1 != 0.0).astype(np.float64)
-    np.fill_diagonal(hops, 0.0)
-    crossed = hops != 0.0
+    crossed = g1 != 0.0
     if order >= 4:
-        two_hops = (hops @ hops) != 0.0
+        two_hops = crossed @ crossed
         crossed |= two_hops & two_hops.T
     offending = np.argwhere((masked & crossed)[levels])
     if offending.size:
@@ -142,12 +148,19 @@ def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     return g_terms[levels]
 
 
+def _check_level(r, level: int) -> None:
+    if not 0 <= level < r.dim:
+        raise IndexError(f"level index {level} out of range for dim {r.dim}")
+
+
 def g2(r: RedividedProblem, beta: int) -> float:
     """Second-order correction sum_{b != beta} |g1[beta, b]|^2 / (d_beta - d_b).
 
     Terms with zero coupling contribute nothing regardless of their gap;
     a zero gap under a nonzero coupling raises DegenerateDenominator.
+    A ``beta`` outside 0..dim-1 raises IndexError, as in the transitions.
     """
+    _check_level(r, beta)
     return float(_g_sums(r, [beta], 2)[0, 0])
 
 
@@ -157,6 +170,7 @@ def g3(r: RedividedProblem, beta: int) -> float:
     sum over b1, b2 != beta of
         g1[beta, b1] g1[b1, b2] g1[b2, beta] / ((d_beta - d_b1)(d_beta - d_b2)).
     """
+    _check_level(r, beta)
     return float(_g_sums(r, [beta], 3)[0, 1])
 
 
@@ -172,6 +186,7 @@ def g4(r: RedividedProblem, beta: int) -> float:
         sum_{b1,b2 != beta} |g1[beta,b1]|^2 |g1[beta,b2]|^2
                             / ((d_beta - d_b1)^2 (d_beta - d_b2)).
     """
+    _check_level(r, beta)
     return float(_g_sums(r, [beta], 4)[0, 2])
 
 
@@ -221,8 +236,8 @@ class TransitionResult:
 def _check_pair(r, gamma: int, beta: int, hbar: float) -> None:
     if gamma == beta:
         raise ValueError("transition requires two distinct levels")
-    if not (0 <= gamma < r.dim and 0 <= beta < r.dim):
-        raise IndexError(f"level indices ({gamma}, {beta}) out of range for dim {r.dim}")
+    _check_level(r, gamma)
+    _check_level(r, beta)
     if not hbar > 0.0:
         raise ValueError(f"hbar must be positive, got {hbar}")
 
@@ -241,9 +256,11 @@ def transition_probability_improved(
     w~ = E~_gamma - E~_beta comes from the improved spectrum but the
     amplitude denominator w = d_gamma - d_beta does not. That asymmetry
     is deliberate and is what limits the amplitude accuracy at strong
-    coupling.
+    coupling. A ``spectrum`` of another size raises DimensionMismatch.
     """
     _check_pair(r, gamma, beta, hbar)
+    if spectrum.dim != r.dim:
+        raise DimensionMismatch(f"spectrum has {spectrum.dim} levels, the problem {r.dim}")
     omega_tilde = spectrum.energies[gamma] - spectrum.energies[beta]
     argument = omega_tilde * t / (2.0 * hbar)
     coupling = r.g1[gamma, beta]

@@ -96,14 +96,9 @@ def run_sweep(spec: SweepSpec, config: HyperfineConfig) -> SweepTable:
     """Evaluate the normalized curves over the grid. Row count == samples."""
     grid = sweep_grid(spec)
     constants = config.constants
-    if spec.mode == "time":
-        x_ev = constants.mu_e_ev_per_tesla * spec.fixed_value
-        pT, pI, p = _normalized_triple(constants.w_ev, x_ev, constants.hbar_evs, grid)
-    else:
-        x_ev = constants.mu_e_ev_per_tesla * grid
-        pT, pI, p = _normalized_triple(
-            constants.w_ev, x_ev, constants.hbar_evs, spec.fixed_value
-        )
+    b_field, t = (spec.fixed_value, grid) if spec.mode == "time" else (grid, spec.fixed_value)
+    x_ev = constants.mu_e_ev_per_tesla * b_field
+    pT, pI, p = _normalized_triple(constants.w_ev, x_ev, constants.hbar_evs, t)
     return SweepTable(grid, pT, pI, p)
 
 
@@ -118,6 +113,14 @@ def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
     return first(table.dev_traditional), first(table.dev_improved)
 
 
+def _check_divergence(mode: str, threshold: float) -> None:
+    """Reject a divergence query on a field sweep or with a threshold not > 0."""
+    if mode != "time":
+        raise InvalidSweepSpec(f"a divergence threshold needs a time sweep, got mode {mode!r}")
+    if not threshold > 0.0:
+        raise InvalidSweepSpec(f"threshold must be positive, got {threshold}")
+
+
 def divergence_report(
     spec: SweepSpec, config: HyperfineConfig, threshold: float
 ) -> tuple[float, float]:
@@ -127,10 +130,7 @@ def divergence_report(
     Thresholds >= 1 are allowed and simply report the +inf sentinels,
     since the normalized curves live in [0, 1].
     """
-    if spec.mode != "time":
-        raise InvalidSweepSpec("divergence report requires a time sweep")
-    if not threshold > 0.0:
-        raise InvalidSweepSpec(f"threshold must be positive, got {threshold}")
+    _check_divergence(spec.mode, threshold)
     return first_crossings(run_sweep(spec, config), threshold)
 
 

@@ -32,6 +32,10 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config_text("mu_e = lots")
 
+    def test_three_tokens(self):
+        with pytest.raises(ValueError, match="expected 'key = value'"):
+            parse_config_text("mu_e = 9.3e-24 J/T")
+
 
 class TestMain:
     def test_time_sweep_to_file(self, tmp_path):
@@ -130,10 +134,21 @@ class TestMain:
     def test_field_mode_requires_fixed(self):
         assert main(["--mode", "field", "--start", "1e-4", "--stop", "1e-2", "--samples", "8"]) == 1
 
-    def test_threshold_rejected_in_field_mode(self):
+    def test_threshold_rejected_in_field_mode(self, tmp_path, capsys):
+        out = tmp_path / "field.csv"
         args = ["--mode", "field", "--fixed", "1.0", "--start", "1e-4", "--stop", "1e-2",
-                "--samples", "8", "--threshold", "0.5"]
+                "--samples", "8", "--threshold", "0.5", "--out", str(out)]
         assert main(args) == 1
+        assert not out.exists()
+        assert "needs a time sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["0", "-1", "nan"])
+    def test_non_positive_threshold_exits_one(self, tmp_path, capsys, threshold):
+        out = tmp_path / "sweep.csv"
+        assert main(BASE_ARGS + ["--threshold", threshold, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("perturba: error: threshold must be positive")
 
     def test_invalid_flag_value_exits_one(self):
         assert main(BASE_ARGS + ["--scale", "cubic"]) == 1

@@ -44,6 +44,13 @@ def symbolic_problem(w=W, x=X):
     return PerturbationProblem(e0=e0, h1=h1)
 
 
+def three_level_problem(dim=3):
+    """The leading ``dim`` levels of a fully coupled real 3x3 problem."""
+    e0 = np.array([0.0, 1.0, 3.0])
+    h1 = np.array([[0.0, 0.1, 0.05], [0.1, 0.0, 0.1], [0.05, 0.1, 0.0]])
+    return PerturbationProblem(e0=e0[:dim], h1=h1[:dim, :dim])
+
+
 class TestProblemValidation:
     # both problem types share one validator: (real vector, Hermitian matrix)
     KINDS = [(PerturbationProblem, "e0", "h1"), (RedividedProblem, "d", "g1")]
@@ -72,6 +79,14 @@ class TestProblemValidation:
         stored = getattr(kind(**{vector: np.zeros(2), matrix: m}), matrix)
         assert np.array_equal(stored, stored.conj().T)
         assert stored[0, 1] == 1.0 + 2e-14j
+
+    def test_redivided_coupling_has_zero_diagonal(self):
+        # diag(d) + g1 would put 0.5 on level 0; the G sums would drop it
+        with pytest.raises(ValueError, match="zero diagonal"):
+            RedividedProblem(d=np.array([0.0, 1.0]), g1=np.array([[0.5, 0.1], [0.1, 0.0]]))
+        # an imaginary diagonal inside the Hermiticity bound is projected to zero
+        g1 = np.array([[1e-15j, 0.1], [0.1, 0.0]])
+        assert not RedividedProblem(d=np.array([0.0, 1.0]), g1=g1).g1.diagonal().any()
 
 
 class TestRedivide:
@@ -217,6 +232,13 @@ class TestCorrectionSums:
             expected = [brute(r.d, r.g1, beta) for brute in (brute_g2, brute_g3, brute_g4)]
             np.testing.assert_allclose(g_terms[beta], expected, rtol=1e-12, atol=1e-30)
 
+    @pytest.mark.parametrize("g", [g2, g3, g4])
+    @pytest.mark.parametrize("beta", [-1, -3, 3, 4])
+    def test_level_out_of_range_raises(self, g, beta):
+        r = redivide(three_level_problem())
+        with pytest.raises(IndexError, match="out of range for dim 3"):
+            g(r, beta)
+
     def test_corrections_real_for_complex_couplings(self):
         rng = np.random.default_rng(55)
         e0, h1 = random_problem(rng, 6, complex_valued=True)
@@ -346,6 +368,31 @@ class TestAmplitudesAndProbabilities:
     def test_probability_requires_distinct_levels(self):
         with pytest.raises(ValueError):
             transition_probability_traditional(self.r, 1, 1, 1.0, 1.0)
+
+    def transition(self, kind, gamma, beta, hbar):
+        if kind == "exact":
+            return transition_probability_exact(self.problem, gamma, beta, 1.0, hbar)
+        if kind == "improved":
+            return transition_probability_improved(self.r, self.spectrum, gamma, beta, 1.0, hbar)
+        return transition_probability_traditional(self.r, gamma, beta, 1.0, hbar)
+
+    @pytest.mark.parametrize("kind", ["exact", "improved", "traditional"])
+    @pytest.mark.parametrize("gamma, beta", [(3, -1), (-1, 3), (4, 1), (1, 4)])
+    def test_level_out_of_range_raises(self, kind, gamma, beta):
+        with pytest.raises(IndexError, match="out of range for dim 4"):
+            self.transition(kind, gamma, beta, 1.0)
+
+    @pytest.mark.parametrize("kind", ["exact", "improved", "traditional"])
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan])
+    def test_non_positive_hbar_raises(self, kind, hbar):
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            self.transition(kind, 3, 1, hbar)
+
+    def test_spectrum_of_another_size_raises(self):
+        spectrum = improved_energies(redivide(three_level_problem()), 4)
+        r = redivide(three_level_problem(dim=2))
+        with pytest.raises(DimensionMismatch, match="spectrum has 3 levels"):
+            transition_probability_improved(r, spectrum, 1, 0, 1.0, 1.0)
 
     def test_exact_matches_closed_form(self):
         root = np.sqrt(4 * W * W + X * X)

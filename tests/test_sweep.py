@@ -68,6 +68,18 @@ class TestSpecValidation:
         with pytest.raises(InvalidSweepSpec):
             SweepSpec(mode="field", fixed_value=1.0, start=-1e-3, stop=1e-3, samples=10)
 
+    @pytest.mark.parametrize("name", ["fixed_value", "start", "stop"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values(self, name, bad):
+        fields = dict(mode="time", fixed_value=1e-3, start=0.0, stop=1.0, samples=10)
+        fields[name] = bad
+        with pytest.raises(InvalidSweepSpec, match=f"{name} must be finite"):
+            SweepSpec(**fields)
+
+    def test_time_sweep_needs_nonnegative_held_field(self):
+        with pytest.raises(InvalidSweepSpec, match="must be >= 0"):
+            SweepSpec(mode="time", fixed_value=-1e-3, start=0.0, stop=1.0, samples=10)
+
 
 class TestGrid:
     def test_linear_matches_formula_within_one_ulp(self):
