@@ -23,7 +23,7 @@ from dataclasses import fields
 
 from .hyperfine import HyperfineConfig, PhysicalConstants
 from .sweep import SweepSpec, emit_csv, first_crossings, run_sweep
-from .sweep import _MODES, _SCALES, _check_divergence
+from .sweep import _MODES, _SCALES, _aliasing_phase, _check_divergence
 
 CONFIG_ENV_VAR = "PERTURBA_CONFIG"
 
@@ -128,11 +128,20 @@ def main(argv=None) -> int:
             samples=args.samples,
             scale=args.scale,
         )
-        b_field = fixed if args.mode == "time" else config_values.get("b_field", 0.0)
-        config = HyperfineConfig(b_field=b_field, constants=constants)
+        # a field sweep reads only the constants: the held value is a time
+        config = HyperfineConfig(
+            b_field=fixed if args.mode == "time" else 0.0, constants=constants
+        )
 
         if args.threshold is not None:
             _check_divergence(args.mode, args.threshold)
+        phase = _aliasing_phase(spec, constants)
+        if phase is not None:
+            print(
+                f"perturba: warning: one grid step advances the fastest curve by "
+                f"{phase:.3g} rad > pi/2; the grid aliases the oscillation",
+                file=sys.stderr,
+            )
 
         table = run_sweep(spec, config)
 

@@ -242,6 +242,55 @@ def _normalized_triple(w: float, x, hbar: float, t):
     return p_exact, p_improved, p_traditional
 
 
+_EPS = float(np.finfo(np.float64).eps)  # 2**-52; one rounding errs by at most _EPS / 2
+#: ulps within which numpy's float64 sin meets the sine of its float
+#: argument (numpy's own accuracy suite holds it to 1)
+_SIN_ULPS = 4
+#: the floor's rounding allowance in units of _EPS, derived in _deviation_envelope
+_FLOOR_EPS = 4 * _SIN_ULPS + 8
+
+
+def _deviation_envelope(w: float, x: float, hbar: float):
+    """Certified envelope of the deviations ``_normalized_triple`` yields at a scalar x.
+
+    Returns ``(rates, floor)``, rates ordered (traditional, improved). For
+    curve i, every deviation |p_i - p_exact| computed in float64 from
+    ``_normalized_triple(w, x, hbar, t)`` obeys
+
+        dev <= min(1, rates[i] |t|) + floor.
+
+    With e = 2**-52, u = x^2 / 4W^2, and A, B the phases the exact and
+    the other curve compute, the identity
+
+        sin^2 A / (1 + u) - sin^2 B = sin(A - B) sin(A + B) - u/(1 + u) sin^2 A
+
+    bounds the deviation at those float phases by min(1, |A - B|) + u/(1 + u).
+
+    Phases: each is fl(fl(gap t) / hbar), two roundings of gap t / hbar, so
+    |A - B| <= |t| (|gap_exact - gap_other| + (e + e^2/4)(gap_exact + gap_other)) / hbar.
+    ``rates`` evaluates this with e in place of e + e^2/4 and scales it by
+    1 + 4e, which outweighs the four roundings of the evaluation and the
+    e^2/4 term, so it rounds up. (A product gap t below the normal range
+    errs by at most 2**-1075 absolutely, which the floor's slack covers.)
+
+    Curve arithmetic, absolutely, with s = _SIN_ULPS: sin errs by s e
+    (|sin| <= 1) and squaring by e/2 more, so each sin^2 errs by (2s + 1/2) e.
+    The exact curve divides by fl(1 + fl(fl(x x) / fl(4W W))), which is off
+    by 2e relatively (3e/2 from u, e/2 from the sum), and the quotient
+    rounds once more, so it errs by (2s + 3) e. Subtracting two values in
+    [0, 1] adds e/2: dev <= min(1, |A - B|) + u/(1 + u) + (4s + 4) e.
+
+    Floor: u/(1 + u) evaluated in float64 errs by 5e/2, adding k e by e/2
+    more, and the neglected e^2 terms stay below e, so
+    floor = fl(u/(1 + u) + k e) with k = 4s + 8 = _FLOOR_EPS.
+    """
+    exact, improved = _gaps(w, x)
+    others = np.array([2.0 * w, improved])
+    rates = (np.abs(exact - others) + _EPS * (exact + others)) / hbar * (1.0 + 4.0 * _EPS)
+    u = (x * x) / (4.0 * w * w)
+    return rates, float(u / (1.0 + u) + _FLOOR_EPS * _EPS)
+
+
 def normalized_probabilities(config: HyperfineConfig, t):
     """The three dimensionless 2 -> 4 comparison curves at time(s) ``t``.
 

@@ -4,6 +4,16 @@ Grids are plain linspace/geomspace; rows carry the three curves plus
 their pointwise absolute deviations from the exact one. Output is
 deterministic down to the byte for identical inputs.
 
+The divergence report finds each curve's first crossing without the
+whole table. With A, B the computed phases of the exact and the other
+curve and u = (B mu_e / 2W)^2, sin^2 A/(1 + u) - sin^2 B =
+sin(A - B) sin(A + B) - u/(1 + u) sin^2 A, so every computed deviation
+obeys dev <= min(1, rate |t|) + floor, where rate bounds the phase slip
+and floor is u/(1 + u) plus a few ulps of rounding (derived in
+``hyperfine._deviation_envelope``). Rows with |t| below the envelope's
+cutoff cannot cross and are skipped; the rest are evaluated in ascending
+chunks, stopping at the first crossing.
+
 CSV text is the bytes of ``'%.16e'`` per value, produced by a numpy kernel
 over blocks of 512 rows. For each value in the window 1e-11 <= |v| < 1e17
 (and zeros) it computes the 17 decimal digits exactly, with integer
@@ -18,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import stat
 from dataclasses import dataclass
@@ -26,13 +37,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidSweepSpec, IoFailure
-from .hyperfine import HyperfineConfig, _normalized_triple
+from .hyperfine import HyperfineConfig, angular_rates
+from .hyperfine import _EPS, _deviation_envelope, _normalized_triple
 
 CSV_HEADER = "x,p_exact,p_improved,p_traditional,dev_improved,dev_traditional"
 _COLUMNS = tuple(CSV_HEADER.split(","))
 
 _MODES = ("time", "field")
 _SCALES = ("linear", "log")
+#: rows per chunk of a divergence scan
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -60,8 +74,12 @@ class SweepSpec:
                 raise InvalidSweepSpec(f"{name} must be finite")
         if not self.start < self.stop:
             raise InvalidSweepSpec(f"start must be < stop, got [{self.start}, {self.stop}]")
-        if int(self.samples) != self.samples or self.samples < 2:
-            raise InvalidSweepSpec(f"samples must be an integer >= 2, got {self.samples}")
+        count = self.samples
+        whole = isinstance(count, numbers.Integral) or (
+            isinstance(count, numbers.Real) and math.isfinite(count) and int(count) == count
+        )
+        if not whole or count < 2:
+            raise InvalidSweepSpec(f"samples must be an integer >= 2, got {count}")
         if self.scale == "log" and not self.start > 0.0:
             raise InvalidSweepSpec("log scale requires start > 0")
         if self.mode == "time" and self.fixed_value < 0.0:
@@ -127,11 +145,75 @@ def divergence_report(
     """(t_traditional, t_improved): where each curve first strays from the
     exact one by more than ``threshold`` on the grid.
 
-    Thresholds >= 1 are allowed and simply report the +inf sentinels,
-    since the normalized curves live in [0, 1].
+    Equal, bit for bit, to ``first_crossings(run_sweep(spec, config),
+    threshold)``, but it evaluates only the rows that can cross. Each
+    deviation obeys the certified envelope dev <= min(1, rate |t|) + floor
+    of ``hyperfine._deviation_envelope``, so the rows with |t| up to the
+    envelope's cutoff (rounded down, less one row at each edge inside the
+    grid) are skipped. The other rows are evaluated in ascending chunks of
+    ``_CHUNK_ROWS``, each a slice of the whole grid, and the scan stops at
+    the first crossing. Thresholds the envelope never reaches (any
+    threshold above 1 + floor) report the +inf sentinels without
+    evaluating a row.
     """
     _check_divergence(spec.mode, threshold)
-    return first_crossings(run_sweep(spec, config), threshold)
+    grid = sweep_grid(spec)
+    constants = config.constants
+    w, hbar = constants.w_ev, constants.hbar_evs
+    x_ev = constants.mu_e_ev_per_tesla * spec.fixed_value
+    rates, floor = _deviation_envelope(w, x_ev, hbar)
+
+    def first(curve):
+        for lo, hi in _unsafe_rows(grid, _safe_time(rates[curve], floor, threshold)):
+            for start in range(lo, hi, _CHUNK_ROWS):
+                t = grid[start : min(start + _CHUNK_ROWS, hi)]
+                table = SweepTable(t, *_normalized_triple(w, x_ev, hbar, t))
+                crossing = first_crossings(table, threshold)[curve]
+                if crossing < math.inf:
+                    return crossing
+        return math.inf
+
+    return first(0), first(1)
+
+
+def _safe_time(rate: float, floor: float, threshold: float) -> float:
+    """A |t| up to which min(1, rate |t|) + floor <= threshold holds for
+    certain: inf when it holds for every t, -inf when not even at t = 0."""
+    margin = threshold - floor  # one rounding
+    if margin > 1.0:  # then the exact difference is > 1 too
+        return math.inf
+    if not margin > 0.0:
+        return -math.inf
+    # the difference and the quotient round once each; 4 eps more covers both
+    return margin / rate * (1.0 - 4.0 * _EPS)
+
+
+def _unsafe_rows(grid: NDArray[np.float64], t_safe: float) -> list[tuple[int, int]]:
+    """Row ranges of an ascending grid outside the run |t| <= t_safe, which
+    is shrunk by one row at each edge that falls inside the grid."""
+    lo = int(np.searchsorted(grid, -t_safe, "left"))
+    hi = int(np.searchsorted(grid, t_safe, "right"))
+    if lo > 0:
+        lo += 1
+    if hi < len(grid):
+        hi -= 1
+    if hi <= lo:
+        return [(0, len(grid))]
+    return [(0, lo), (hi, len(grid))]
+
+
+def _aliasing_phase(spec: SweepSpec, constants) -> float | None:
+    """The phase (rad) the fastest curve sin^2(rate t) of a time sweep
+    advances over its widest grid step, when that exceeds pi/2 and so the
+    grid holds fewer than two samples per period; None otherwise."""
+    if spec.mode != "time":
+        return None
+    if spec.scale == "linear":
+        step = (spec.stop - spec.start) / (spec.samples - 1)
+    else:  # a geometric grid's widest step is its last
+        step = -spec.stop * math.expm1(math.log(spec.start / spec.stop) / (spec.samples - 1))
+    phase = max(abs(rate) for rate in angular_rates(constants, spec.fixed_value)) * step
+    return phase if phase > math.pi / 2 else None
 
 
 # The exact %.16e kernel. A finite float64 is |v| = M 2**(E - 53) with a

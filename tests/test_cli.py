@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from perturba import HyperfineConfig, PhysicalConstants, SweepSpec, cli, run_sweep
+from perturba import HyperfineConfig, PhysicalConstants, SweepSpec, cli, emit_csv, run_sweep
+from perturba.sweep import first_crossings
 from perturba.cli import CONFIG_ENV_VAR, main, parse_config_text
 
 BASE_ARGS = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1e-8", "--samples", "64"]
@@ -76,6 +77,18 @@ class TestMain:
         data = read_csv(out)
         assert data.shape == (33, 6)
         assert data[0, 0] == 1e-4 and data[-1, 0] == 1e-2
+
+    def test_field_sweep_ignores_config_field(self, tmp_path):
+        # the held value of a field sweep is a time; the config's b_field is
+        # for time sweeps only and is not checked here
+        config = tmp_path / "neg.cfg"
+        config.write_text("b_field = -1\n")
+        args = ["--mode", "field", "--fixed", "1.0", "--start", "1e-4", "--stop", "1e-2",
+                "--samples", "4"]
+        with_config, without = tmp_path / "with.csv", tmp_path / "without.csv"
+        assert main(["--config", str(config)] + args + ["--out", str(with_config)]) == 0
+        assert main(args + ["--out", str(without)]) == 0
+        assert with_config.read_bytes() == without.read_bytes()
 
     def test_config_file_supplies_field(self, tmp_path):
         config = tmp_path / "constants.cfg"
@@ -192,3 +205,60 @@ class TestMain:
     def test_unwritable_out_exits_two(self, tmp_path):
         out = tmp_path / "missing" / "dir" / "x.csv"
         assert main(BASE_ARGS + ["--out", str(out)]) == 2
+
+
+class TestAliasingWarning:
+    """A time grid whose step exceeds a quarter period of the fastest
+    sin^2(rate t) gets one warning line on stderr, and nothing else changes."""
+
+    def test_criterion_7_grid_warns(self, monkeypatch, capsys):
+        # rate dt = 4.46e9 rad/s * 1e-5 s; the 3M-row table and CSV are stubbed
+        small = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=2)
+        monkeypatch.setattr(cli, "run_sweep", lambda spec, config: run_sweep(small, config))
+        monkeypatch.setattr(cli, "emit_csv", lambda table, destination: 0)
+        args = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "30",
+                "--samples", "3000000"]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("perturba: warning: ") and "4.46e+04 rad" in lines[0]
+        assert "aliases" in lines[0]
+
+    def test_warning_leaves_csv_and_report_unchanged(self, tmp_path, capsys):
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3001)
+        table = run_sweep(spec, HyperfineConfig(b_field=1e-3))
+        expected = tmp_path / "expected.csv"
+        emit_csv(table, expected)
+        t_traditional, t_improved = first_crossings(table, 0.5)
+        out = tmp_path / "sweep.csv"
+        args = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "30",
+                "--samples", "3001", "--threshold", "0.5", "--out", str(out)]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert out.read_bytes() == expected.read_bytes()
+        assert captured.out == (
+            f"first_crossing_traditional = {t_traditional!r}\n"
+            f"first_crossing_improved = {t_improved!r}\n"
+        )
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("perturba: warning: ")
+
+    def test_coarse_log_grid_warns(self, tmp_path, capsys):
+        # 64 geometric samples over [1e-12, 1e-8] s: the last step, 1.36e-9 s,
+        # advances the phase by 6.07 rad
+        args = ["--mode", "time", "--fixed", "1e-3", "--start", "1e-12", "--stop", "1e-8",
+                "--samples", "64", "--scale", "log", "--out", str(tmp_path / "sweep.csv")]
+        assert main(args) == 0
+        assert "by 6.07 rad > pi/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale, start", [("linear", "0"), ("log", "5e-9")])
+    def test_fine_grid_is_quiet(self, tmp_path, capsys, scale, start):
+        # the widest steps, 1.6e-10 s and 1.1e-10 s, advance the phase by
+        # 0.71 and 0.49 rad < pi/2
+        out = tmp_path / "sweep.csv"
+        args = ["--mode", "time", "--fixed", "1e-3", "--start", start, "--stop", "1e-8",
+                "--samples", "64", "--scale", scale, "--out", str(out)]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""

@@ -21,11 +21,12 @@ from perturba import (
     SweepTable,
     divergence_report,
     emit_csv,
+    hyperfine,
     run_sweep,
     sweep,
     sweep_grid,
 )
-from perturba.sweep import CSV_HEADER
+from perturba.sweep import CSV_HEADER, first_crossings
 
 CONFIG = HyperfineConfig(b_field=1e-3)
 
@@ -79,6 +80,11 @@ class TestSpecValidation:
     def test_time_sweep_needs_nonnegative_held_field(self):
         with pytest.raises(InvalidSweepSpec, match="must be >= 0"):
             SweepSpec(mode="time", fixed_value=-1e-3, start=0.0, stop=1.0, samples=10)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_samples(self, bad):
+        with pytest.raises(InvalidSweepSpec, match="samples must be an integer >= 2"):
+            SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1.0, samples=bad)
 
 
 class TestGrid:
@@ -182,6 +188,146 @@ class TestDivergenceReport:
         for (lo_t, lo_i), (hi_t, hi_i) in zip(crossings, crossings[1:]):
             assert lo_t <= hi_t
             assert lo_i <= hi_i
+
+    def test_criterion_7_grid_evaluates_one_chunk(self, monkeypatch):
+        # the improved envelope peaks below 0.5 on [0, 30] s, so that curve
+        # is never evaluated; the traditional one crosses in the first chunk
+        rows = []
+
+        def counting(w, x, hbar, t):
+            rows.append(len(t))
+            return hyperfine._normalized_triple(w, x, hbar, t)
+
+        monkeypatch.setattr(sweep, "_normalized_triple", counting)
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
+        t_traditional, t_improved = divergence_report(spec, CONFIG, 0.5)
+        assert t_improved == math.inf and t_traditional < 1e-4
+        assert rows == [sweep._CHUNK_ROWS]
+
+
+def constants_and_field(b_field):
+    k = CONFIG.constants
+    return k.w_ev, k.mu_e_ev_per_tesla * b_field, k.hbar_evs
+
+
+@st.composite
+def time_specs(draw, max_samples=3 * sweep._CHUNK_ROWS + 100):
+    """Time sweeps within +-reach, reach from 0.1 us (where the traditional
+    envelope cuts off) to 30 s: linear windows from t <= 0, or log ones."""
+    b_field = draw(st.one_of(st.just(0.0), st.floats(-5.0, -1.0).map(lambda k: 10.0**k)))
+    scale = draw(st.sampled_from(sweep._SCALES))
+    reach = 10.0 ** draw(st.floats(-7.0, math.log10(30.0)))
+    if scale == "log":
+        start = reach * draw(st.floats(1e-9, 0.99))
+        stop = start + (reach - start) * draw(st.floats(0.01, 1.0))
+    else:
+        start = -reach * draw(st.floats(0.0, 1.0))
+        stop = reach * draw(st.floats(0.01, 1.0))
+    samples = draw(st.one_of(st.integers(2, 64), st.integers(2, max_samples)))
+    return SweepSpec(mode="time", fixed_value=b_field, start=start, stop=stop,
+                     samples=samples, scale=scale)
+
+
+class TestPrunedDivergence:
+    """divergence_report skips rows its envelope certifies and stops early."""
+
+    @pytest.mark.parametrize(
+        "b_field, start, stop, samples, scale, threshold",
+        [
+            (1e-4, -6e-5, 1e-3, 20_000, "linear", 0.5),  # crosses after a middle run
+            (1e-4, -1e-3, 1e-3, 20_000, "linear", 1.0),
+            (2e-3, 0.0, 30.0, 200_001, "linear", 0.3),  # improved crosses late
+            (1e-3, 1e-6, 30.0, 50_000, "log", 0.4),
+            (1e-2, -2e-7, 3e-7, 30_000, "linear", 0.2),
+            (1e-3, 0.0, 1e-5, 20_000, "linear", 0.999),  # crosses at 1.77 us
+        ],
+    )
+    def test_equals_full_scan_on_chosen_specs(self, b_field, start, stop, samples, scale,
+                                               threshold):
+        spec = SweepSpec(mode="time", fixed_value=b_field, start=start, stop=stop,
+                         samples=samples, scale=scale)
+        full = first_crossings(run_sweep(spec, CONFIG), threshold)
+        assert divergence_report(spec, CONFIG, threshold) == full
+
+    @settings(max_examples=300, deadline=None)
+    @given(time_specs(), st.data())
+    def test_equals_full_scan(self, spec, data):
+        w, x, hbar = constants_and_field(spec.fixed_value)
+        rates, floor = hyperfine._deviation_envelope(w, x, hbar)
+        reach = rates[data.draw(st.integers(0, 1))] * max(abs(spec.start), abs(spec.stop))
+
+        def envelope(fraction):  # at fraction * the grid's widest |t|
+            return min(1.0, reach * fraction) + floor
+
+        threshold = data.draw(
+            st.one_of(
+                st.floats(1e-3, 1.0),
+                st.floats(0.0, 1.0).map(envelope),
+                st.floats(-1e-6, 1e-6).map(lambda d: envelope(1.0) + d),
+                st.floats(1.0, 3.0),
+            ).filter(lambda v: v > 0.0)
+        )
+        full = first_crossings(run_sweep(spec, CONFIG), threshold)
+        assert divergence_report(spec, CONFIG, threshold) == full
+
+    @settings(max_examples=100, deadline=None)
+    @given(time_specs(max_samples=5000))
+    def test_deviations_stay_within_envelope(self, spec):
+        w, x, hbar = constants_and_field(spec.fixed_value)
+        rates, floor = hyperfine._deviation_envelope(w, x, hbar)
+        table = run_sweep(spec, CONFIG)
+        for rate, dev in zip(rates, (table.dev_traditional, table.dev_improved)):
+            assert np.all(dev <= np.minimum(1.0, rate * np.abs(table.x)) + floor)
+
+    def test_envelope_and_cutoff_pinned(self):
+        eps = 2.0**-52
+        for b_field in (0.0, 1e-3, 0.036):
+            w, x, hbar = constants_and_field(b_field)
+            exact = math.sqrt(4.0 * w * w + x * x)
+            improved = 2.0 * w + x * x / (4.0 * w) - x**4 / (4.0 * w) ** 3
+            rates, floor = hyperfine._deviation_envelope(w, x, hbar)
+            for rate, other in zip(rates, (2.0 * w, improved)):
+                # the slip rate plus two roundings per phase, rounded up
+                assert rate == (abs(exact - other) + eps * (exact + other)) / hbar * (1 + 4 * eps)
+            u = x * x / (4.0 * w * w)
+            # amplitude mismatch plus (4 sin ulps + 8) eps of rounding
+            assert floor == u / (1.0 + u) + 24 * eps
+            cutoff = (0.5 - floor) / rates[0] * (1 - 4 * eps)
+            assert sweep._safe_time(rates[0], floor, 0.5) == cutoff
+        # criterion 7: the improved curve provably stays within 0.5 up to
+        # 30.37 s. The gaps part at the x^6 / 512 W^5 term of the square root.
+        w, x, hbar = constants_and_field(1e-3)
+        rates, floor = hyperfine._deviation_envelope(w, x, hbar)
+        u = x * x / (4.0 * w * w)
+        by_hand = (0.5 - u / (1.0 + u)) / (x**6 / (512.0 * w**5) / hbar)
+        assert sweep._safe_time(rates[1], floor, 0.5) == pytest.approx(by_hand, rel=1e-3)
+        assert sweep._safe_time(rates[1], floor, 0.5) > 30.0
+        assert sweep._safe_time(rates[1], floor, 1.0 + 2 * floor) == math.inf
+        assert sweep._safe_time(rates[1], floor, floor) == -math.inf
+
+    @pytest.mark.parametrize(
+        "t_safe, expected",
+        [(-math.inf, [(0, 9)]), (0.5, [(0, 9)]), (1.0, [(0, 4), (5, 9)]),
+         (1.5, [(0, 4), (5, 9)]), (3.0, [(0, 2), (7, 9)]), (math.inf, [(0, 0), (9, 9)])],
+    )
+    def test_unsafe_rows_step_back_inside_the_grid(self, t_safe, expected):
+        # the run |t| <= t_safe on -4, -3, ..., 4 loses one row at each edge
+        # inside the grid; a grid that starts at 0 keeps its first row skipped
+        assert sweep._unsafe_rows(np.linspace(-4.0, 4.0, 9), t_safe) == expected
+        assert sweep._unsafe_rows(np.linspace(0.0, 8.0, 9), 2.5) == [(0, 0), (2, 9)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(time_specs(max_samples=10_000), st.integers(1, 5000))
+    def test_chunked_curves_are_bit_identical(self, spec, chunk):
+        w, x, hbar = constants_and_field(spec.fixed_value)
+        t = sweep_grid(spec)
+        whole = hyperfine._normalized_triple(w, x, hbar, t)
+        pieces = [hyperfine._normalized_triple(w, x, hbar, t[lo : lo + chunk])
+                  for lo in range(0, len(t), chunk)]
+        for column, parts in zip(whole, zip(*pieces)):
+            np.testing.assert_array_equal(
+                column.view(np.uint64), np.concatenate(parts).view(np.uint64)
+            )
 
 
 class TestEmitCsv:
