@@ -248,6 +248,8 @@ _EPS = float(np.finfo(np.float64).eps)  # 2**-52; one rounding errs by at most _
 _SIN_ULPS = 4
 #: the floor's rounding allowance in units of _EPS, derived in _deviation_envelope
 _FLOOR_EPS = 4 * _SIN_ULPS + 8
+#: no computed deviation exceeds this, derived in _deviation_envelope
+_DEVIATION_CAP = 1.0 + (2 * _SIN_ULPS + 2) * _EPS
 
 
 def _deviation_envelope(w: float, x: float, hbar: float):
@@ -257,7 +259,7 @@ def _deviation_envelope(w: float, x: float, hbar: float):
     curve i, every deviation |p_i - p_exact| computed in float64 from
     ``_normalized_triple(w, x, hbar, t)`` obeys
 
-        dev <= min(1, rates[i] |t|) + floor.
+        dev <= min(_DEVIATION_CAP, min(1, rates[i] |t|) + floor).
 
     With e = 2**-52, u = x^2 / 4W^2, and A, B the phases the exact and
     the other curve compute, the identity
@@ -283,6 +285,12 @@ def _deviation_envelope(w: float, x: float, hbar: float):
     Floor: u/(1 + u) evaluated in float64 errs by 5e/2, adding k e by e/2
     more, and the neglected e^2 terms stay below e, so
     floor = fl(u/(1 + u) + k e) with k = 4s + 8 = _FLOOR_EPS.
+
+    Cap: each curve lies in [0, 1 + (2s + 1) e] once computed: the sin^2
+    bound above, then the exact curve's divisor is at least 1 and its
+    quotient rounds up by at most e/2. A difference of two such values
+    rounds by e/2 relatively more, and the e^2 terms stay below e/2, so
+    dev <= 1 + c e with c = 2s + 2, and _DEVIATION_CAP = 1 + c e is exact.
     """
     exact, improved = _gaps(w, x)
     others = np.array([2.0 * w, improved])

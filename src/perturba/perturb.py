@@ -17,19 +17,25 @@ R = diag(1 / (d_beta - d_b)), zero at b = beta and across degenerate gaps,
 G(2) = g1 R g1, G(3) = g1 R g1 R g1 and G(4) = g1 R g1 R g1 R g1 minus
 G(2) sum_b |g1[beta, b]|^2 R_b^2, each taken at [beta, beta].
 
-Both problem types validate once, at construction, through
-``hermitian.require_hermitian``; its exactly Hermitian result makes every G
-sum real up to roundoff, so the sums keep their real parts unchecked.
-``RedividedProblem`` also rejects a g1 with a nonzero diagonal, so no path
-in the G sums hops from a level to itself.
+A problem built by its caller is validated once, at construction,
+through ``hermitian.require_hermitian``; its exactly Hermitian result makes
+every G sum real up to roundoff, so the sums keep their real parts
+unchecked. A caller-built ``RedividedProblem`` also rejects a g1 with a
+nonzero diagonal, so no path in the G sums hops from a level to itself.
+``redivide``'s output is trusted instead: a validated h1 with its diagonal
+zeroed is exactly Hermitian, so only the finiteness of d is checked again.
+Both problem types store read-only copies of their arrays.
 
-Everything is a pure function over immutable inputs; sweeps may evaluate
-these in parallel without coordination.
+The full H of a ``PerturbationProblem`` is solved once, on first use, and
+the decomposition is kept on the problem; every exact transition of that
+problem reads it. Everything else is a pure function over immutable
+inputs; sweeps may evaluate these in parallel without coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,13 +50,21 @@ DEGENERACY_RTOL = 1e-15
 def _validate(problem, vector: str, matrix: str) -> None:
     """Store the named fields as a finite real vector and a matching Hermitian matrix."""
     m = hermitian.require_hermitian(getattr(problem, matrix))
-    v = np.asarray(getattr(problem, vector), dtype=np.float64)
+    _store(problem, vector, getattr(problem, vector), matrix, m)
+
+
+def _store(problem, vector: str, v, matrix: str, m) -> None:
+    """Store a read-only copy of ``v`` (finite, real, one entry per row of
+    ``m``) and ``m`` itself, made read-only; no one else may hold ``m``."""
+    v = np.array(v, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] != m.shape[0]:
         raise DimensionMismatch(
             f"{vector} has shape {v.shape} but {matrix} is {m.shape[0]}x{m.shape[1]}"
         )
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{vector} contains non-finite entries")
+    v.setflags(write=False)
+    m.setflags(write=False)
     object.__setattr__(problem, vector, v)
     object.__setattr__(problem, matrix, m)
 
@@ -71,6 +85,19 @@ class PerturbationProblem:
 
     def full_hamiltonian(self) -> NDArray[np.complex128]:
         return np.diag(self.e0).astype(np.complex128) + self.h1
+
+    @cached_property
+    def decomposition(self) -> hermitian.SpectralDecomposition:
+        """The spectral decomposition of the full H, solved on first use.
+
+        The solve validates H, so an H that overflows raises
+        NonHermitianInput; nothing is cached then, and every access raises.
+        The cached arrays are read-only, as the problem's own are.
+        """
+        dec = hermitian.eigendecompose(self.full_hamiltonian())
+        dec.eigenvalues.setflags(write=False)
+        dec.eigenvectors.setflags(write=False)
+        return dec
 
 
 @dataclass(frozen=True)
@@ -102,12 +129,17 @@ def redivide(problem: PerturbationProblem) -> RedividedProblem:
     """Split diag(e0) + h1 into diag(d) + g1 with an exactly zero g1 diagonal.
 
     The original Hamiltonian is recoverable: diag(d) + g1 reproduces
-    diag(e0) + h1 entry for entry.
+    diag(e0) + h1 entry for entry. The result skips the constructor's
+    Hermiticity check; a non-finite d still raises ValueError.
     """
     d = problem.e0 + np.diag(problem.h1).real
     g1 = problem.h1.copy()
     np.fill_diagonal(g1, 0.0)
-    return RedividedProblem(d=d, g1=g1)
+    # the validated h1 stays exactly Hermitian with its diagonal zeroed; only
+    # the sum e0 + diag(h1) can still overflow, which _store rejects
+    r = object.__new__(RedividedProblem)
+    _store(r, "d", d, "g1", g1)
+    return r
 
 
 def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
@@ -242,6 +274,21 @@ def _check_pair(r, gamma: int, beta: int, hbar: float) -> None:
         raise ValueError(f"hbar must be positive, got {hbar}")
 
 
+def _first_order(r, phase_energies, gamma: int, beta: int, t: float, hbar: float):
+    """|g1|^2 sin^2(w~ t / 2 hbar) / (w / 2)^2 with w~ taken from
+    ``phase_energies`` and w = d_gamma - d_beta; callers check the pair."""
+    omega_tilde = phase_energies[gamma] - phase_energies[beta]
+    argument = omega_tilde * t / (2.0 * hbar)
+    coupling = r.g1[gamma, beta]
+    if coupling == 0.0:
+        return TransitionResult(gamma, beta, 0.0, argument)
+    omega = r.d[gamma] - r.d[beta]
+    if abs(omega) <= r.degeneracy_tol:
+        raise DegenerateDenominator(gamma, beta)
+    envelope = (coupling.real**2 + coupling.imag**2) / (omega / 2.0) ** 2
+    return TransitionResult(gamma, beta, envelope * np.sin(argument) ** 2, argument)
+
+
 def transition_probability_improved(
     r: RedividedProblem,
     spectrum: ImprovedSpectrum,
@@ -261,16 +308,7 @@ def transition_probability_improved(
     _check_pair(r, gamma, beta, hbar)
     if spectrum.dim != r.dim:
         raise DimensionMismatch(f"spectrum has {spectrum.dim} levels, the problem {r.dim}")
-    omega_tilde = spectrum.energies[gamma] - spectrum.energies[beta]
-    argument = omega_tilde * t / (2.0 * hbar)
-    coupling = r.g1[gamma, beta]
-    if coupling == 0.0:
-        return TransitionResult(gamma, beta, 0.0, argument)
-    omega = r.d[gamma] - r.d[beta]
-    if abs(omega) <= r.degeneracy_tol:
-        raise DegenerateDenominator(gamma, beta)
-    envelope = (coupling.real**2 + coupling.imag**2) / (omega / 2.0) ** 2
-    return TransitionResult(gamma, beta, envelope * np.sin(argument) ** 2, argument)
+    return _first_order(r, spectrum.energies, gamma, beta, t, hbar)
 
 
 def transition_probability_traditional(
@@ -279,11 +317,11 @@ def transition_probability_traditional(
     """First-order probability with the unimproved gap in the phase.
 
     P = |g1|^2 sin^2(w t / 2 hbar) / (w / 2)^2 with w = d_gamma - d_beta.
-    Coincides with the improved result when an order-1 spectrum is used.
+    Coincides with the improved result when an order-1 spectrum is used,
+    whose energies are d itself.
     """
-    return transition_probability_improved(
-        r, improved_energies(r, 1), gamma, beta, t, hbar
-    )
+    _check_pair(r, gamma, beta, hbar)
+    return _first_order(r, r.d, gamma, beta, t, hbar)
 
 
 def transition_probability_exact(
@@ -291,14 +329,14 @@ def transition_probability_exact(
 ) -> TransitionResult:
     """Exact probability |<phi_gamma| exp(-i H t / hbar) |phi_beta>|^2.
 
-    Builds the full Hamiltonian, diagonalizes it, and propagates phi_beta
-    with ``hermitian.evolve``; the amplitude is the gamma component of the
-    evolved state. The reported angular argument pairs each basis level
-    with the eigenvector it dominates, which reduces to the usual
-    two-level gap for weakly mixed problems.
+    Propagates phi_beta with ``hermitian.evolve`` through the problem's
+    cached ``decomposition`` of the full Hamiltonian; the amplitude is the
+    gamma component of the evolved state. The reported angular argument
+    pairs each basis level with the eigenvector it dominates, which reduces
+    to the usual two-level gap for weakly mixed problems.
     """
     _check_pair(problem, gamma, beta, hbar)
-    dec = hermitian.eigendecompose(problem.full_hamiltonian())
+    dec = problem.decomposition
     z = hermitian.evolve(dec, np.eye(problem.dim)[beta], t, hbar)[gamma]
     k_gamma, k_beta = np.argmax(np.abs(dec.eigenvectors[[gamma, beta]]), axis=1)
     omega_exact = dec.eigenvalues[k_gamma] - dec.eigenvalues[k_beta]

@@ -10,9 +10,10 @@ curve and u = (B mu_e / 2W)^2, sin^2 A/(1 + u) - sin^2 B =
 sin(A - B) sin(A + B) - u/(1 + u) sin^2 A, so every computed deviation
 obeys dev <= min(1, rate |t|) + floor, where rate bounds the phase slip
 and floor is u/(1 + u) plus a few ulps of rounding (derived in
-``hyperfine._deviation_envelope``). Rows with |t| below the envelope's
-cutoff cannot cross and are skipped; the rest are evaluated in ascending
-chunks, stopping at the first crossing.
+``hyperfine._deviation_envelope``); no computed deviation exceeds
+1 + 10 eps. Rows with |t| below the envelope's cutoff cannot cross and are
+skipped; the rest are evaluated in ascending chunks, stopping at the first
+crossing.
 
 CSV text is the bytes of ``'%.16e'`` per value, produced by a numpy kernel
 over blocks of 512 rows. For each value in the window 1e-11 <= |v| < 1e17
@@ -38,7 +39,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidSweepSpec, IoFailure
 from .hyperfine import HyperfineConfig, angular_rates
-from .hyperfine import _EPS, _deviation_envelope, _normalized_triple
+from .hyperfine import _DEVIATION_CAP, _EPS, _deviation_envelope, _normalized_triple
 
 CSV_HEADER = "x,p_exact,p_improved,p_traditional,dev_improved,dev_traditional"
 _COLUMNS = tuple(CSV_HEADER.split(","))
@@ -152,9 +153,9 @@ def divergence_report(
     envelope's cutoff (rounded down, less one row at each edge inside the
     grid) are skipped. The other rows are evaluated in ascending chunks of
     ``_CHUNK_ROWS``, each a slice of the whole grid, and the scan stops at
-    the first crossing. Thresholds the envelope never reaches (any
-    threshold above 1 + floor) report the +inf sentinels without
-    evaluating a row.
+    the first crossing. Thresholds no computed deviation exceeds (any
+    threshold at or above ``hyperfine._DEVIATION_CAP`` = 1 + 10 eps) report
+    the +inf sentinels without evaluating a row.
     """
     _check_divergence(spec.mode, threshold)
     grid = sweep_grid(spec)
@@ -178,10 +179,11 @@ def divergence_report(
 
 def _safe_time(rate: float, floor: float, threshold: float) -> float:
     """A |t| up to which min(1, rate |t|) + floor <= threshold holds for
-    certain: inf when it holds for every t, -inf when not even at t = 0."""
-    margin = threshold - floor  # one rounding
-    if margin > 1.0:  # then the exact difference is > 1 too
+    certain: inf when no computed deviation can exceed the threshold,
+    -inf when not even at t = 0."""
+    if threshold >= _DEVIATION_CAP:
         return math.inf
+    margin = threshold - floor  # one rounding
     if not margin > 0.0:
         return -math.inf
     # the difference and the quotient round once each; 4 eps more covers both

@@ -12,6 +12,7 @@ from perturba import (
     g2,
     g3,
     g4,
+    hermitian,
     improved_energies,
     redivide,
     transition_probability_exact,
@@ -87,6 +88,85 @@ class TestProblemValidation:
         # an imaginary diagonal inside the Hermiticity bound is projected to zero
         g1 = np.array([[1e-15j, 0.1], [0.1, 0.0]])
         assert not RedividedProblem(d=np.array([0.0, 1.0]), g1=g1).g1.diagonal().any()
+
+
+class TestStoredArrays:
+    KINDS = TestProblemValidation.KINDS
+
+    @pytest.mark.parametrize("kind, vector, matrix", KINDS)
+    def test_caller_mutation_leaves_the_problem_alone(self, kind, vector, matrix):
+        v = np.array([0.0, 1.0])
+        m = np.array([[0.0, 0.1], [0.1, 0.0]])
+        problem = kind(**{vector: v, matrix: m})
+        v[0], m[0, 1] = 5.0, 7.0
+        assert np.array_equal(getattr(problem, vector), [0.0, 1.0])
+        assert np.array_equal(getattr(problem, matrix), [[0.0, 0.1], [0.1, 0.0]])
+        for stored in (getattr(problem, vector), getattr(problem, matrix)):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 1.0
+
+    def test_derived_arrays_are_read_only(self):
+        problem = three_level_problem()
+        dec = problem.decomposition
+        r = redivide(problem)
+        for array in (r.d, r.g1, dec.eigenvalues, dec.eigenvectors):
+            assert not array.flags.writeable
+        assert not np.shares_memory(r.g1, problem.h1)
+
+
+class TestSingleSolve:
+    """One eigendecompose and one Hermiticity check per matrix, per problem."""
+
+    def test_one_solve_and_two_validations(self, monkeypatch):
+        calls = {"require_hermitian": 0, "eigendecompose": 0}
+
+        def counting(name):
+            original = getattr(hermitian, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(hermitian, name, counting(name))
+        problem = symbolic_problem()
+        r = redivide(problem)
+        spectrum = improved_energies(r, 4)
+        for gamma, beta in ((3, 1), (1, 3)):
+            for t in (0.4, 2.5):
+                transition_probability_exact(problem, gamma, beta, t, 1.0)
+                transition_probability_improved(r, spectrum, gamma, beta, t, 1.0)
+                transition_probability_traditional(r, gamma, beta, t, 1.0)
+        # h1 at construction, then the full H inside its one solve
+        assert calls == {"require_hermitian": 2, "eigendecompose": 1}
+
+    def test_cached_results_equal_a_fresh_problem(self):
+        rng = np.random.default_rng(12)
+        e0, h1 = random_problem(rng, 6, complex_valued=True)
+        cached = PerturbationProblem(e0=e0, h1=h1)
+        for gamma, beta, t in [(5, 0, 0.7), (1, 0, 0.7), (0, 5, 3.1), (2, 4, 9.0)]:
+            got = transition_probability_exact(cached, gamma, beta, t, 1.0)
+            fresh = transition_probability_exact(
+                PerturbationProblem(e0=e0, h1=h1), gamma, beta, t, 1.0
+            )
+            bits = [np.float64(v).tobytes() for v in (got.probability, got.angular_argument,
+                                                      fresh.probability, fresh.angular_argument)]
+            assert bits[:2] == bits[2:]
+
+    def test_overflowing_hamiltonian_raises_on_every_exact_call(self):
+        # e0 + diag(h1) overflows; e0 and h1 alone are finite and valid
+        problem = PerturbationProblem(
+            e0=np.array([1e308, 0.0]), h1=np.array([[1e308, 0.1], [0.1, 0.0]])
+        )
+        with np.errstate(over="ignore"):
+            for _ in range(2):
+                with pytest.raises(NonHermitianInput, match="non-finite"):
+                    transition_probability_exact(problem, 1, 0, 1.0, 1.0)
+            with pytest.raises(ValueError, match="d contains non-finite"):
+                redivide(problem)
 
 
 class TestRedivide:

@@ -49,3 +49,23 @@ def test_only_hermitian_raises_non_hermitian_input():
         and raised_name(node) == "NonHermitianInput"
     }
     assert raisers == {"hermitian.py"}
+
+
+def test_require_hermitian_runs_only_at_the_two_gates():
+    # construction and the eigensolver validate; per-call paths trust them
+    def references(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from references(child, child.name)
+                continue
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if isinstance(child, (ast.Name, ast.Attribute)) and name == "require_hermitian":
+                yield owner
+            yield from references(child, owner)
+
+    users = {
+        (path.stem, owner)
+        for path in SOURCES
+        for owner in references(ast.parse(path.read_text(), filename=str(path)), None)
+    }
+    assert users == {("perturb", "_validate"), ("hermitian", "eigendecompose")}

@@ -204,6 +204,23 @@ class TestDivergenceReport:
         assert t_improved == math.inf and t_traditional < 1e-4
         assert rows == [sweep._CHUNK_ROWS]
 
+    def test_threshold_above_the_cap_evaluates_no_row(self, monkeypatch):
+        # 1.0003 lies below 1 + floor, so only the cap on computed deviations
+        # (1 + 10 eps) shows that no row of criterion 7's grid can cross it
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
+        _, floor = hyperfine._deviation_envelope(*constants_and_field(1e-3))
+        assert hyperfine._DEVIATION_CAP < 1.0003 < 1.0 + floor
+        full = first_crossings(run_sweep(spec, CONFIG), 1.0003)
+        rows = []
+
+        def counting(w, x, hbar, t):
+            rows.append(len(t))
+            return hyperfine._normalized_triple(w, x, hbar, t)
+
+        monkeypatch.setattr(sweep, "_normalized_triple", counting)
+        assert divergence_report(spec, CONFIG, 1.0003) == full == (math.inf, math.inf)
+        assert rows == []
+
 
 def constants_and_field(b_field):
     k = CONFIG.constants
@@ -265,6 +282,7 @@ class TestPrunedDivergence:
                 st.floats(0.0, 1.0).map(envelope),
                 st.floats(-1e-6, 1e-6).map(lambda d: envelope(1.0) + d),
                 st.floats(1.0, 3.0),
+                st.floats(1.0, hyperfine._DEVIATION_CAP + 1e-15),
             ).filter(lambda v: v > 0.0)
         )
         full = first_crossings(run_sweep(spec, CONFIG), threshold)
@@ -278,6 +296,7 @@ class TestPrunedDivergence:
         table = run_sweep(spec, CONFIG)
         for rate, dev in zip(rates, (table.dev_traditional, table.dev_improved)):
             assert np.all(dev <= np.minimum(1.0, rate * np.abs(table.x)) + floor)
+            assert np.all(dev <= hyperfine._DEVIATION_CAP)
 
     def test_envelope_and_cutoff_pinned(self):
         eps = 2.0**-52
@@ -303,6 +322,11 @@ class TestPrunedDivergence:
         assert sweep._safe_time(rates[1], floor, 0.5) == pytest.approx(by_hand, rel=1e-3)
         assert sweep._safe_time(rates[1], floor, 0.5) > 30.0
         assert sweep._safe_time(rates[1], floor, 1.0 + 2 * floor) == math.inf
+        # the cap on computed deviations: 1 + (2 sin ulps + 2) eps
+        cap = hyperfine._DEVIATION_CAP
+        assert cap == 1.0 + 10 * eps
+        assert sweep._safe_time(rates[1], floor, cap) == math.inf
+        assert math.isfinite(sweep._safe_time(rates[1], floor, np.nextafter(cap, 0.0)))
         assert sweep._safe_time(rates[1], floor, floor) == -math.inf
 
     @pytest.mark.parametrize(
