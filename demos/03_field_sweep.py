@@ -38,8 +38,9 @@ for center in (1e-4, 1.29e-3, 1.21e-2, 0.036):
     u = (config.coupling_ev / (2 * config.constants.w_ev)) ** 2
     name = OUT / f"field_window_{center:g}T.csv"
     emit_csv(table, name)
-    print(f"{center:>12g} {table.dev_traditional.max():>14.3e}"
-          f" {table.dev_improved.max():>14.3e} {1 / (1 + u):>12.6f}   -> {name}")
+    dev_improved, dev_traditional = table.rows(0, len(table))[:, 4:].T
+    print(f"{center:>12g} {dev_traditional.max():>14.3e}"
+          f" {dev_improved.max():>14.3e} {1 / (1 + u):>12.6f}   -> {name}")
 
 print("\nat 0.036 T the perturbative regime is gone (B mu_e / W ~ 1.4):")
 config = HyperfineConfig(b_field=0.036)

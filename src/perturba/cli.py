@@ -157,7 +157,7 @@ def main(argv=None) -> int:
         print(f"perturba: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # an oversized --samples: numpy cannot allocate the grid or curves
+        # an oversized --samples: numpy cannot allocate the grid
         print(f"perturba: error: not enough memory for this sweep: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

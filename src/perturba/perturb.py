@@ -84,7 +84,9 @@ class PerturbationProblem:
         return self.e0.shape[0]
 
     def full_hamiltonian(self) -> NDArray[np.complex128]:
-        return np.diag(self.e0).astype(np.complex128) + self.h1
+        # an overflowing sum is left inf for the eigensolver's gate to reject
+        with np.errstate(over="ignore"):
+            return np.diag(self.e0).astype(np.complex128) + self.h1
 
     @cached_property
     def decomposition(self) -> hermitian.SpectralDecomposition:
@@ -132,7 +134,8 @@ def redivide(problem: PerturbationProblem) -> RedividedProblem:
     diag(e0) + h1 entry for entry. The result skips the constructor's
     Hermiticity check; a non-finite d still raises ValueError.
     """
-    d = problem.e0 + np.diag(problem.h1).real
+    with np.errstate(over="ignore"):
+        d = problem.e0 + np.diag(problem.h1).real
     g1 = problem.h1.copy()
     np.fill_diagonal(g1, 0.0)
     # the validated h1 stays exactly Hermitian with its diagonal zeroed; only

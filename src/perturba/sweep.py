@@ -1,28 +1,22 @@
 """Time and field sweeps of the three probability curves, CSV output.
 
-Grids are plain linspace/geomspace; rows carry the three curves plus
-their pointwise absolute deviations from the exact one. Output is
-deterministic down to the byte for identical inputs.
+A ``SweepTable`` is a lazy view of one sweep: its grid and the curve
+parameters. One walker evaluates its rows, the three curves and their
+absolute deviations from the exact one, ``_CHUNK_ROWS`` at a time for both
+``emit_csv`` and ``first_crossings``, so neither holds more than the grid
+and one chunk. Output is deterministic down to the byte for identical inputs.
 
-The divergence report finds each curve's first crossing without the
-whole table. With A, B the computed phases of the exact and the other
-curve and u = (B mu_e / 2W)^2, sin^2 A/(1 + u) - sin^2 B =
-sin(A - B) sin(A + B) - u/(1 + u) sin^2 A, so every computed deviation
-obeys dev <= min(1, rate |t|) + floor, where rate bounds the phase slip
-and floor is u/(1 + u) plus a few ulps of rounding (derived in
-``hyperfine._deviation_envelope``); no computed deviation exceeds
-1 + 10 eps. Rows with |t| below the envelope's cutoff cannot cross and are
-skipped; the rest are evaluated in ascending chunks, stopping at the first
-crossing.
+``first_crossings`` skips the rows of a time sweep that the certified
+deviation envelope of ``hyperfine._deviation_envelope`` proves cannot
+cross, and stops at the first crossing.
 
 CSV text is the bytes of ``'%.16e'`` per value, produced by a numpy kernel
-over blocks of 512 rows. For each value in the window 1e-11 <= |v| < 1e17
-(and zeros) it computes the 17 decimal digits exactly, with integer
-arithmetic on the value's binary mantissa and round-half-to-even, and
-writes them into fixed-width byte fields. A row holding any other value
-(nan, inf, subnormal, tiny or huge) is formatted with ``'%.16e'`` itself.
-Files are written to a temporary file beside the destination and moved into
-place.
+over each chunk. For each value in the window 1e-11 <= |v| < 1e17 (and
+zeros) it computes the 17 decimal digits exactly, with integer arithmetic
+on the value's binary mantissa and round-half-to-even, and writes them into
+fixed-width byte fields. A row holding any other value (nan, inf,
+subnormal, tiny or huge) is formatted with ``'%.16e'`` itself. Files are
+written to a temporary file beside the destination and moved into place.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidSweepSpec, IoFailure
-from .hyperfine import HyperfineConfig, angular_rates
+from .hyperfine import HyperfineConfig, PhysicalConstants, angular_rates
 from .hyperfine import _DEVIATION_CAP, _EPS, _deviation_envelope, _normalized_triple
 
 CSV_HEADER = "x,p_exact,p_improved,p_traditional,dev_improved,dev_traditional"
@@ -46,8 +40,8 @@ _COLUMNS = tuple(CSV_HEADER.split(","))
 
 _MODES = ("time", "field")
 _SCALES = ("linear", "log")
-#: rows per chunk of a divergence scan
-_CHUNK_ROWS = 4096
+#: rows per chunk of the walker; emit_csv measured fastest at 2,048-4,096 rows
+_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -97,39 +91,69 @@ def sweep_grid(spec: SweepSpec) -> NDArray[np.float64]:
 
 
 class SweepTable:
-    """Columnar sweep result: the grid, the three curves and their deviations."""
+    """One sweep as a lazy view: the grid ``x`` and the curve parameters.
+    ``rows(lo, hi)`` evaluates rows lo..hi into a (hi - lo, 6) block in CSV
+    column order; a row depends on its grid value alone, so slices agree."""
 
-    def __init__(self, x, p_exact, p_improved, p_traditional):
-        self.x = np.asarray(x, dtype=np.float64)
-        self.p_exact = np.asarray(p_exact, dtype=np.float64)
-        self.p_improved = np.asarray(p_improved, dtype=np.float64)
-        self.p_traditional = np.asarray(p_traditional, dtype=np.float64)
-        self.dev_improved = np.abs(self.p_improved - self.p_exact)
-        self.dev_traditional = np.abs(self.p_traditional - self.p_exact)
+    def __init__(self, x: NDArray[np.float64], mode: str, fixed_value: float,
+                 constants: PhysicalConstants):
+        self.x, self.mode, self.fixed_value, self.constants = x, mode, fixed_value, constants
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
+    def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
+        k, x = self.constants, self.x[lo:hi]
+        b_field, t = (self.fixed_value, x) if self.mode == "time" else (x, self.fixed_value)
+        curves = _normalized_triple(k.w_ev, k.mu_e_ev_per_tesla * b_field, k.hbar_evs, t)
+        return np.column_stack((x, *curves, *(np.abs(p - curves[0]) for p in curves[1:])))
+
 
 def run_sweep(spec: SweepSpec, config: HyperfineConfig) -> SweepTable:
-    """Evaluate the normalized curves over the grid. Row count == samples."""
-    grid = sweep_grid(spec)
-    constants = config.constants
-    b_field, t = (spec.fixed_value, grid) if spec.mode == "time" else (grid, spec.fixed_value)
-    x_ev = constants.mu_e_ev_per_tesla * b_field
-    pT, pI, p = _normalized_triple(constants.w_ev, x_ev, constants.hbar_evs, t)
-    return SweepTable(grid, pT, pI, p)
+    """The sweep of ``spec`` as a lazy table; only its grid is computed here.
+    A time sweep holds B = ``spec.fixed_value``. Row count == samples."""
+    return SweepTable(sweep_grid(spec), spec.mode, spec.fixed_value, config.constants)
+
+
+def _walk(table, ranges):
+    """(first row, ``table.rows`` block) per ``_CHUNK_ROWS`` slice of ``ranges``, ascending."""
+    for lo, hi in ranges:
+        for start in range(lo, hi, _CHUNK_ROWS):
+            yield start, table.rows(start, min(start + _CHUNK_ROWS, hi))
 
 
 def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
-    """First abscissa where each deviation exceeds ``threshold``, scanning
-    ascending; math.inf when a curve never exceeds it."""
+    """(traditional, improved): the first abscissa where each deviation
+    exceeds ``threshold``, scanning ascending; math.inf when none does.
 
-    def first(dev):
-        hits = np.nonzero(dev > threshold)[0]
-        return float(table.x[hits[0]]) if hits.size else math.inf
-
-    return first(table.dev_traditional), first(table.dev_improved)
+    One walk serves both curves and stops once both have crossed. It skips
+    the rows no open curve can cross, then resumes past a crossing's chunk
+    over the other curve's rows alone. A field sweep's rows are fields, not
+    times, so only the cap on every deviation skips rows there, all or none.
+    """
+    k = table.constants
+    if table.mode == "time":
+        x_ev = k.mu_e_ev_per_tesla * table.fixed_value
+        rates, floor = _deviation_envelope(k.w_ev, x_ev, k.hbar_evs)
+    else:
+        rates, floor = (math.inf, math.inf), math.inf
+    safe = [_safe_time(rate, floor, threshold) for rate in rates]
+    crossings = [math.inf, math.inf]
+    done = 0  # rows below this are settled for every open curve
+    while math.inf in crossings:
+        open_curves = [curve for curve in (0, 1) if crossings[curve] == math.inf]
+        ranges = _unsafe_rows(table.x, min(safe[curve] for curve in open_curves))
+        for start, block in _walk(table, [(max(lo, done), hi) for lo, hi in ranges]):
+            for curve in open_curves:  # dev_traditional is column 5, dev_improved 4
+                hits = np.flatnonzero(block[:, 5 - curve] > threshold)
+                if hits.size:
+                    crossings[curve] = float(block[hits[0], 0])
+            if crossings.count(math.inf) < len(open_curves):
+                done = start + len(block)
+                break
+        else:
+            break
+    return crossings[0], crossings[1]
 
 
 def _check_divergence(mode: str, threshold: float) -> None:
@@ -144,37 +168,11 @@ def divergence_report(
     spec: SweepSpec, config: HyperfineConfig, threshold: float
 ) -> tuple[float, float]:
     """(t_traditional, t_improved): where each curve first strays from the
-    exact one by more than ``threshold`` on the grid.
-
-    Equal, bit for bit, to ``first_crossings(run_sweep(spec, config),
-    threshold)``, but it evaluates only the rows that can cross. Each
-    deviation obeys the certified envelope dev <= min(1, rate |t|) + floor
-    of ``hyperfine._deviation_envelope``, so the rows with |t| up to the
-    envelope's cutoff (rounded down, less one row at each edge inside the
-    grid) are skipped. The other rows are evaluated in ascending chunks of
-    ``_CHUNK_ROWS``, each a slice of the whole grid, and the scan stops at
-    the first crossing. Thresholds no computed deviation exceeds (any
-    threshold at or above ``hyperfine._DEVIATION_CAP`` = 1 + 10 eps) report
-    the +inf sentinels without evaluating a row.
+    exact one by more than ``threshold`` on the grid of a time sweep;
+    ``first_crossings`` of the lazy table, once ``_check_divergence`` passes.
     """
     _check_divergence(spec.mode, threshold)
-    grid = sweep_grid(spec)
-    constants = config.constants
-    w, hbar = constants.w_ev, constants.hbar_evs
-    x_ev = constants.mu_e_ev_per_tesla * spec.fixed_value
-    rates, floor = _deviation_envelope(w, x_ev, hbar)
-
-    def first(curve):
-        for lo, hi in _unsafe_rows(grid, _safe_time(rates[curve], floor, threshold)):
-            for start in range(lo, hi, _CHUNK_ROWS):
-                t = grid[start : min(start + _CHUNK_ROWS, hi)]
-                table = SweepTable(t, *_normalized_triple(w, x_ev, hbar, t))
-                crossing = first_crossings(table, threshold)[curve]
-                if crossing < math.inf:
-                    return crossing
-        return math.inf
-
-    return first(0), first(1)
+    return first_crossings(run_sweep(spec, config), threshold)
 
 
 def _safe_time(rate: float, floor: float, threshold: float) -> float:
@@ -225,7 +223,6 @@ def _aliasing_phase(spec: SweepSpec, constants) -> float | None:
 # 0 <= p <= 27, i.e. 1e-11 <= |v| < 1e17: there the decimal exponent has two
 # digits and the shifted product, 2 |v| 10**p < 2**62, fits one uint64.
 # Other values, nan and inf take the '%' format row by row.
-_BLOCK_ROWS = 512
 _MAX_P = 27
 _POW5 = np.array([5**p for p in range(_MAX_P + 1)], dtype=np.uint64)
 # ASCII "0000".."9999" and "e-99".."e+99" as one uint32 each
@@ -376,23 +373,21 @@ def _write_atomically(path, write) -> int:
 def emit_csv(table: SweepTable, destination) -> int:
     """Write a table as CSV (17 significant digits, '\\n' endings); return bytes written.
 
-    The six columns are read by name from ``table``; ``destination`` is a
-    path or an open text stream. Numbers round-trip bit-exactly through
+    ``table`` needs ``len`` and the walker's ``rows(lo, hi)``; ``destination``
+    is a path or an open text stream. Numbers round-trip bit-exactly through
     the emitted text. Raises on an empty table before touching the
     destination, and wraps write errors in IoFailure. A path is written
     through a temporary file in the same directory, so a failed write
     leaves an existing file unchanged.
     """
-    columns = [getattr(table, name) for name in _COLUMNS]
     count = len(table)
     if count == 0:
         raise InvalidSweepSpec("refusing to emit CSV for zero rows")
 
     def blocks():
         yield (CSV_HEADER + "\n").encode("ascii")
-        for start in range(0, count, _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            yield _format_block(np.stack([c[start:stop] for c in columns], axis=1))
+        for _, block in _walk(table, [(0, count)]):
+            yield _format_block(block)
 
     try:
         if hasattr(destination, "write"):

@@ -2,10 +2,13 @@
 
 These are deliberately naive translations of the correction-sum
 definitions (dense loops, no skip logic), a cyclic-Jacobi eigensolver,
-a random-problem generator, and the slow CSV formatter with a table
-stand-in to feed it arbitrary values, kept apart from the package so the
+a random-problem generator, the slow CSV formatter with a table stand-in
+to feed it arbitrary values, and the eager full-table sweep that the
+chunked, pruned walker must agree with, kept apart from the package so the
 engine and its checks cannot share a bug.
 """
+
+import math
 
 import numpy as np
 
@@ -118,23 +121,57 @@ def order_scaling_slopes(seed, lams, n_problems, exact_eigenvalues):
     return np.asarray(slopes4), np.asarray(slopes2)
 
 
-class ColumnTable:
-    """Stand-in for ``SweepTable`` over any (n, 6) matrix: the six CSV
-    columns by name, and ``len``. Lets the CSV kernel be fed values no
-    sweep produces (nan, inf, subnormals, raw bit patterns)."""
+#: the six CSV columns, in order
+COLUMNS = ("x", "p_exact", "p_improved", "p_traditional", "dev_improved", "dev_traditional")
 
-    def __init__(self, matrix):
-        (
-            self.x,
-            self.p_exact,
-            self.p_improved,
-            self.p_traditional,
-            self.dev_improved,
-            self.dev_traditional,
-        ) = np.asarray(matrix, dtype=np.float64).reshape(-1, 6).T
+
+class ColumnTable:
+    """Stand-in for ``SweepTable`` over any (n, 6) matrix, or six given
+    columns: the columns by name, ``len``, and the walker's
+    ``rows(lo, hi)``. Lets the CSV kernel be fed values no sweep produces
+    (nan, inf, subnormals, raw bit patterns)."""
+
+    def __init__(self, matrix=None, *, columns=None):
+        if columns is None:
+            columns = np.asarray(matrix, dtype=np.float64).reshape(-1, 6).T
+        self.columns = tuple(columns)
+        for name, column in zip(COLUMNS, self.columns, strict=True):
+            setattr(self, name, column)
 
     def __len__(self):
         return self.x.shape[0]
+
+    def rows(self, lo, hi):
+        return np.stack([column[lo:hi] for column in self.columns], axis=1)
+
+
+def run_sweep(spec, config):
+    """The whole sweep table at once, every row evaluated in one call of
+    the curve kernel, as ``sweep.run_sweep`` built it before it walked
+    the grid in chunks."""
+    from perturba import hyperfine, sweep_grid
+
+    grid = sweep_grid(spec)
+    constants = config.constants
+    b_field, t = (spec.fixed_value, grid) if spec.mode == "time" else (grid, spec.fixed_value)
+    x_ev = constants.mu_e_ev_per_tesla * b_field
+    p_exact, p_improved, p_traditional = hyperfine._normalized_triple(
+        constants.w_ev, x_ev, constants.hbar_evs, t
+    )
+    deviations = np.abs(p_improved - p_exact), np.abs(p_traditional - p_exact)
+    return ColumnTable(columns=(grid, p_exact, p_improved, p_traditional) + deviations)
+
+
+def first_crossings(table, threshold):
+    """(traditional, improved): the first abscissa where each deviation of
+    a full table exceeds ``threshold``, every row scanned; math.inf when
+    none does."""
+
+    def first(dev):
+        hits = np.nonzero(dev > threshold)[0]
+        return float(table.x[hits[0]]) if hits.size else math.inf
+
+    return first(table.dev_traditional), first(table.dev_improved)
 
 
 def reference_csv_rows(rows):

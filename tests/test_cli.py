@@ -1,10 +1,10 @@
 """End-to-end checks of the command-line front end."""
 
 import numpy as np
+import oracles
 import pytest
 
 from perturba import HyperfineConfig, PhysicalConstants, SweepSpec, cli, emit_csv, run_sweep
-from perturba.sweep import first_crossings
 from perturba.cli import CONFIG_ENV_VAR, main, parse_config_text
 
 BASE_ARGS = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1e-8", "--samples", "64"]
@@ -43,7 +43,7 @@ class TestMain:
         out = tmp_path / "sweep.csv"
         assert main(BASE_ARGS + ["--out", str(out)]) == 0
         data = read_csv(out)
-        expected = run_sweep(
+        expected = oracles.run_sweep(
             SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-8, samples=64),
             HyperfineConfig(b_field=1e-3),
         )
@@ -97,7 +97,7 @@ class TestMain:
         args = ["--config", str(config), "--mode", "time", "--start", "0",
                 "--stop", "1e-8", "--samples", "16", "--out", str(out)]
         assert main(args) == 0
-        expected = run_sweep(
+        expected = oracles.run_sweep(
             SweepSpec(mode="time", fixed_value=2e-3, start=0.0, stop=1e-8, samples=16),
             HyperfineConfig(b_field=2e-3),
         )
@@ -109,7 +109,7 @@ class TestMain:
         out = tmp_path / "sweep.csv"
         args = ["--config", str(config)] + BASE_ARGS + ["--out", str(out)]
         assert main(args) == 0
-        expected = run_sweep(
+        expected = oracles.run_sweep(
             SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-8, samples=64),
             HyperfineConfig(b_field=1e-3),
         )
@@ -122,7 +122,7 @@ class TestMain:
         args = ["--config", str(config), "--mode", "time", "--start", "0",
                 "--stop", "1e-8", "--samples", "16", "--out", str(out)]
         assert main(args) == 0
-        expected = run_sweep(
+        expected = oracles.run_sweep(
             SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-8, samples=16),
             HyperfineConfig(
                 b_field=1e-3, constants=PhysicalConstants(delta_nu_h=1.5e9)
@@ -212,7 +212,7 @@ class TestAliasingWarning:
     sin^2(rate t) gets one warning line on stderr, and nothing else changes."""
 
     def test_criterion_7_grid_warns(self, monkeypatch, capsys):
-        # rate dt = 4.46e9 rad/s * 1e-5 s; the 3M-row table and CSV are stubbed
+        # rate dt = 4.46e9 rad/s * 1e-5 s; the 3M-row grid and CSV are stubbed
         small = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=2)
         monkeypatch.setattr(cli, "run_sweep", lambda spec, config: run_sweep(small, config))
         monkeypatch.setattr(cli, "emit_csv", lambda table, destination: 0)
@@ -228,10 +228,10 @@ class TestAliasingWarning:
 
     def test_warning_leaves_csv_and_report_unchanged(self, tmp_path, capsys):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3001)
-        table = run_sweep(spec, HyperfineConfig(b_field=1e-3))
+        config = HyperfineConfig(b_field=1e-3)
         expected = tmp_path / "expected.csv"
-        emit_csv(table, expected)
-        t_traditional, t_improved = first_crossings(table, 0.5)
+        emit_csv(run_sweep(spec, config), expected)
+        t_traditional, t_improved = oracles.first_crossings(oracles.run_sweep(spec, config), 0.5)
         out = tmp_path / "sweep.csv"
         args = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "30",
                 "--samples", "3001", "--threshold", "0.5", "--out", str(out)]

@@ -1,5 +1,7 @@
 """Redivision, correction sums, improved energies, and the probability trio."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,10 +163,23 @@ class TestSingleSolve:
         problem = PerturbationProblem(
             e0=np.array([1e308, 0.0]), h1=np.array([[1e308, 0.1], [0.1, 0.0]])
         )
-        with np.errstate(over="ignore"):
-            for _ in range(2):
-                with pytest.raises(NonHermitianInput, match="non-finite"):
-                    transition_probability_exact(problem, 1, 0, 1.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(NonHermitianInput, match="non-finite"):
+                transition_probability_exact(problem, 1, 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="d contains non-finite"):
+            redivide(problem)
+
+    def test_overflow_warns_nothing_before_the_documented_exception(self):
+        # under python -W error a numpy overflow warning would be raised
+        # instead of NonHermitianInput or ValueError
+        problem = PerturbationProblem(
+            e0=np.array([1e308, 0.0]), h1=np.array([[1e308, 0.0], [0.0, 0.0]])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(problem.full_hamiltonian()[0, 0])
+            with pytest.raises(NonHermitianInput, match="non-finite"):
+                problem.decomposition
             with pytest.raises(ValueError, match="d contains non-finite"):
                 redivide(problem)
 

@@ -5,9 +5,11 @@ import math
 import os
 import stat
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,6 @@ from perturba import (
     InvalidSweepSpec,
     IoFailure,
     SweepSpec,
-    SweepTable,
     divergence_report,
     emit_csv,
     hyperfine,
@@ -107,23 +108,28 @@ class TestGrid:
         assert grid[0] == spec.start and grid[-1] == spec.stop
 
 
+def whole(table):
+    """Every row of a lazy sweep table, as one (rows, 6) block."""
+    return table.rows(0, len(table))
+
+
 class TestRunSweep:
     def test_row_count_and_fields(self):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-8, samples=11)
         table = run_sweep(spec, CONFIG)
         assert len(table) == 11
-        for name in ("x", "p_exact", "p_improved", "p_traditional",
-                     "dev_improved", "dev_traditional"):
-            assert getattr(table, name).shape == (11,)
-        assert table.dev_improved[3] == abs(table.p_improved[3] - table.p_exact[3])
-        assert table.dev_traditional[3] == abs(table.p_traditional[3] - table.p_exact[3])
+        x, p_exact, p_improved, p_traditional, dev_improved, dev_traditional = whole(table).T
+        for column in (x, p_exact, p_improved, p_traditional, dev_improved, dev_traditional):
+            assert column.shape == (11,)
+        np.testing.assert_array_equal(x, sweep_grid(spec))
+        assert dev_improved[3] == abs(p_improved[3] - p_exact[3])
+        assert dev_traditional[3] == abs(p_traditional[3] - p_exact[3])
 
     def test_deviations_match_columns_exactly(self):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1.0, samples=1000)
-        table = run_sweep(spec, CONFIG)
-        np.testing.assert_array_equal(
-            table.dev_improved, np.abs(table.p_improved - table.p_exact)
-        )
+        block = whole(run_sweep(spec, CONFIG))
+        np.testing.assert_array_equal(block[:, 4], np.abs(block[:, 2] - block[:, 1]))
+        np.testing.assert_array_equal(block[:, 5], np.abs(block[:, 3] - block[:, 1]))
 
     def test_deterministic_output(self):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=2.0, samples=500)
@@ -136,27 +142,27 @@ class TestRunSweep:
         # around t = 1 s the traditional curve has slipped ~0.87 rad of
         # phase against the exact one while the improved curve has slipped
         # only ~0.016 rad; measured window maxima are 0.82 and 0.0167
-        table = run_sweep(window_spec(1.0), CONFIG)
-        assert table.dev_traditional.max() > 1e-2
-        assert table.dev_improved.max() < 2e-2
-        assert table.dev_improved.max() < table.dev_traditional.max() / 10
+        dev_improved, dev_traditional = whole(run_sweep(window_spec(1.0), CONFIG))[:, 4:].T
+        assert dev_traditional.max() > 1e-2
+        assert dev_improved.max() < 2e-2
+        assert dev_improved.max() < dev_traditional.max() / 10
 
     def test_window_at_small_time(self):
         # at t ~ 1e-7 s both perturbative curves still hug the exact one;
         # the improved deviation is bounded by the amplitude mismatch
         # u/(1+u) ~ 3.9e-4, the traditional one by its 0.087 rad slip
-        table = run_sweep(window_spec(1e-7), CONFIG)
-        assert table.dev_improved.max() <= 5e-4
-        assert table.dev_traditional.max() <= 0.1
+        dev_improved, dev_traditional = whole(run_sweep(window_spec(1e-7), CONFIG))[:, 4:].T
+        assert dev_improved.max() <= 5e-4
+        assert dev_traditional.max() <= 0.1
 
     def test_field_mode_around_weak_field(self):
         spec = SweepSpec(
             mode="field", fixed_value=1.0, start=0.9e-4, stop=1.1e-4, samples=2001
         )
-        table = run_sweep(spec, CONFIG)
-        assert np.max(np.abs(table.p_exact - table.p_improved)) <= 1e-3
+        block = whole(run_sweep(spec, CONFIG))
+        assert np.max(np.abs(block[:, 1] - block[:, 2])) <= 1e-3
         # traditional curve is flat in B
-        assert np.all(table.p_traditional == table.p_traditional[0])
+        assert np.all(block[:, 3] == block[0, 3])
 
 
 class TestDivergenceReport:
@@ -210,7 +216,7 @@ class TestDivergenceReport:
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
         _, floor = hyperfine._deviation_envelope(*constants_and_field(1e-3))
         assert hyperfine._DEVIATION_CAP < 1.0003 < 1.0 + floor
-        full = first_crossings(run_sweep(spec, CONFIG), 1.0003)
+        full = oracles.first_crossings(oracles.run_sweep(spec, CONFIG), 1.0003)
         rows = []
 
         def counting(w, x, hbar, t):
@@ -263,7 +269,7 @@ class TestPrunedDivergence:
                                                threshold):
         spec = SweepSpec(mode="time", fixed_value=b_field, start=start, stop=stop,
                          samples=samples, scale=scale)
-        full = first_crossings(run_sweep(spec, CONFIG), threshold)
+        full = oracles.first_crossings(oracles.run_sweep(spec, CONFIG), threshold)
         assert divergence_report(spec, CONFIG, threshold) == full
 
     @settings(max_examples=300, deadline=None)
@@ -285,7 +291,7 @@ class TestPrunedDivergence:
                 st.floats(1.0, hyperfine._DEVIATION_CAP + 1e-15),
             ).filter(lambda v: v > 0.0)
         )
-        full = first_crossings(run_sweep(spec, CONFIG), threshold)
+        full = oracles.first_crossings(oracles.run_sweep(spec, CONFIG), threshold)
         assert divergence_report(spec, CONFIG, threshold) == full
 
     @settings(max_examples=100, deadline=None)
@@ -293,7 +299,7 @@ class TestPrunedDivergence:
     def test_deviations_stay_within_envelope(self, spec):
         w, x, hbar = constants_and_field(spec.fixed_value)
         rates, floor = hyperfine._deviation_envelope(w, x, hbar)
-        table = run_sweep(spec, CONFIG)
+        table = oracles.run_sweep(spec, CONFIG)
         for rate, dev in zip(rates, (table.dev_traditional, table.dev_improved)):
             assert np.all(dev <= np.minimum(1.0, rate * np.abs(table.x)) + floor)
             assert np.all(dev <= hyperfine._DEVIATION_CAP)
@@ -354,9 +360,103 @@ class TestPrunedDivergence:
             )
 
 
+@st.composite
+def field_specs(draw, max_samples=3 * sweep._CHUNK_ROWS + 100):
+    """Field sweeps up to 0.05 T, past the perturbative regime, at a held
+    time from 1 ns to 10 s, on linear or log grids."""
+    scale = draw(st.sampled_from(sweep._SCALES))
+    stop = 10.0 ** draw(st.floats(-6.0, math.log10(0.05)))
+    start = stop * draw(st.floats(1e-6 if scale == "log" else 0.0, 0.99))
+    return SweepSpec(mode="field", fixed_value=10.0 ** draw(st.floats(-9.0, 1.0)),
+                     start=start, stop=stop, scale=scale,
+                     samples=draw(st.one_of(st.integers(2, 64), st.integers(2, max_samples))))
+
+
+class TestWalker:
+    """emit_csv and first_crossings walk the lazy table in chunks and agree
+    with the eager full-table oracle."""
+
+    @pytest.mark.parametrize("samples", [2047, 2048, 2049, 4097])
+    def test_streamed_csv_equals_oracle_at_chunk_edges(self, samples, tmp_path):
+        # t = 0 on the first row of the second chunk, or the last row: the
+        # rows with 0 < |t| < 1e-11 on either side take the '%' format
+        zero = min(sweep._CHUNK_ROWS, samples - 1)
+        step = 2.0**-40
+        specs = [
+            SweepSpec(mode="time", fixed_value=1e-3, start=-zero * step,
+                      stop=(samples - 1 - zero) * step, samples=samples),
+            SweepSpec(mode="field", fixed_value=1e-6, start=1e-6, stop=1e-2,
+                      samples=samples, scale="log"),
+        ]
+        for spec in specs:
+            full = columns_of(oracles.run_sweep(spec, CONFIG))
+            if spec.mode == "time":
+                tiny = (np.abs(full) < 1e-11) & (full != 0.0)
+                assert np.all(full[zero] == 0.0)
+                edges = [row for row in (zero - 1, zero + 1) if row < samples]
+                assert tiny[edges].any(axis=1).all()
+            expected = (CSV_HEADER + "\n" + reference_csv_rows(full.tolist())).encode("ascii")
+            target = tmp_path / "sweep.csv"
+            assert emit_csv(run_sweep(spec, CONFIG), target) == len(expected)
+            assert target.read_bytes() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(time_specs(), st.floats(-0.5, 1.5))
+    def test_first_crossings_equal_oracle_on_time_sweeps(self, spec, threshold):
+        table = oracles.run_sweep(spec, CONFIG)
+        assert first_crossings(run_sweep(spec, CONFIG), threshold) == (
+            oracles.first_crossings(table, threshold)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(field_specs(),
+           st.one_of(st.floats(0.0, 1.0), st.floats(1.0, hyperfine._DEVIATION_CAP + 1e-15)))
+    def test_first_crossings_equal_oracle_on_field_sweeps(self, spec, threshold):
+        table = oracles.run_sweep(spec, CONFIG)
+        assert first_crossings(run_sweep(spec, CONFIG), threshold) == (
+            oracles.first_crossings(table, threshold)
+        )
+
+    def test_field_sweep_walks_each_row_once(self, monkeypatch):
+        # no envelope prunes a field sweep: one walk checks both curves and
+        # stops at the later crossing, rows 52 and 5,640 here
+        spec = SweepSpec(mode="field", fixed_value=1e-3, start=0.0, stop=1e-2, samples=10_000)
+        expected = oracles.first_crossings(oracles.run_sweep(spec, CONFIG), 0.5)
+        rows = []
+
+        def counting(w, x, hbar, t):
+            rows.append(len(x))
+            return hyperfine._normalized_triple(w, x, hbar, t)
+
+        monkeypatch.setattr(sweep, "_normalized_triple", counting)
+        assert first_crossings(run_sweep(spec, CONFIG), 0.5) == expected
+        assert np.searchsorted(sweep_grid(spec), expected).tolist() == [52, 5640]
+        assert rows == [sweep._CHUNK_ROWS] * 3
+
+    def test_peak_memory_grows_only_by_the_grid(self):
+        def peak(samples):
+            spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-5, samples=samples)
+            tracemalloc.start()
+            try:
+                emit_csv(run_sweep(spec, CONFIG), os.devnull)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100_000)  # warm up
+        growth = peak(400_000) - peak(100_000)
+        grid_growth = 300_000 * 8
+        # a whole table would add six columns of 2.4 MB each
+        assert growth < grid_growth + 256 * 1024
+
+
 class TestEmitCsv:
     def rows(self):
-        return SweepTable([0.0, 0.5], [0.0, 0.25], [0.0, 1.0 / 3.0], [0.0, 0.125])
+        x, p_exact, p_improved, p_traditional = np.array(
+            [[0.0, 0.5], [0.0, 0.25], [0.0, 1.0 / 3.0], [0.0, 0.125]]
+        )
+        deviations = np.abs(p_improved - p_exact), np.abs(p_traditional - p_exact)
+        return ColumnTable(columns=(x, p_exact, p_improved, p_traditional) + deviations)
 
     def test_two_rows_three_lines(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -372,9 +472,9 @@ class TestEmitCsv:
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=3.0, samples=64)
-        table = run_sweep(spec, CONFIG)
+        table = oracles.run_sweep(spec, CONFIG)
         target = tmp_path / "sweep.csv"
-        emit_csv(table, target)
+        emit_csv(run_sweep(spec, CONFIG), target)
         parsed = np.loadtxt(target, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(parsed[:, 0], table.x)
         np.testing.assert_array_equal(parsed[:, 1], table.p_exact)
@@ -386,7 +486,7 @@ class TestEmitCsv:
     def test_empty_rows_rejected_without_creating_file(self, tmp_path):
         target = tmp_path / "nope.csv"
         with pytest.raises(InvalidSweepSpec):
-            emit_csv(SweepTable([], [], [], []), target)
+            emit_csv(ColumnTable(np.empty((0, 6))), target)
         assert not target.exists()
 
     def test_stream_destination(self):
@@ -488,7 +588,8 @@ class TestCsvKernel:
 
     @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
     def test_fallback_rows_at_block_edges(self, blocks, extra):
-        size = sweep._BLOCK_ROWS
+        # 2,047, 2,048, 2,049 and 4,097 rows: one chunk of the walker is a block
+        size = sweep._CHUNK_ROWS
         rows = blocks * size + extra
         rng = np.random.default_rng(rows)
         matrix = rng.uniform(-1.0, 1.0, (rows, 6))
@@ -514,7 +615,8 @@ class TestCsvKernel:
     )
     def test_whole_sweep_tables(self, spec, tmp_path):
         table = run_sweep(spec, CONFIG)
-        expected = CSV_HEADER + "\n" + reference_csv_rows(columns_of(table).tolist())
+        full = columns_of(oracles.run_sweep(spec, CONFIG))
+        expected = CSV_HEADER + "\n" + reference_csv_rows(full.tolist())
         target = tmp_path / "sweep.csv"
         assert emit_csv(table, target) == len(expected)
         assert target.read_bytes() == expected.encode("ascii")
@@ -542,7 +644,7 @@ class TestAtomicCsvFile:
 
         monkeypatch.setattr(sweep, "_format_block", failing_second_block)
         with pytest.raises(IoFailure):
-            emit_csv(self.table(2 * sweep._BLOCK_ROWS + 1), target)
+            emit_csv(self.table(2 * sweep._CHUNK_ROWS + 1), target)
         assert len(calls) == 2
         assert target.read_text() == "old contents\n"
         assert os.listdir(tmp_path) == ["out.csv"]
