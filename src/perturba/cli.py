@@ -10,8 +10,8 @@ Usage examples:
 Constants come from a plain key/value config file (--config or the
 PERTURBA_CONFIG environment variable); recognized keys are mu_e,
 delta_nu_h, planck_h, elementary_charge and b_field. Flags override the
-file. Exit codes: 0 success, 1 validation error (including a sweep too
-large for memory), 2 I/O error.
+file. Exit codes: 0 success, 1 validation error (including an
+allocation that does not fit in memory), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
         print(f"perturba: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # an oversized --samples: numpy cannot allocate the grid
+        # a numpy allocation that does not fit; the lazy grid itself holds no rows
         print(f"perturba: error: not enough memory for this sweep: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

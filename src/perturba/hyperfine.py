@@ -250,6 +250,9 @@ _SIN_ULPS = 4
 _FLOOR_EPS = 4 * _SIN_ULPS + 8
 #: no computed deviation exceeds this, derived in _deviation_envelope
 _DEVIATION_CAP = 1.0 + (2 * _SIN_ULPS + 2) * _EPS
+#: ulps within which math.asin, the C library's asin, meets the arcsine
+#: of its argument
+_ASIN_ULPS = 4
 
 
 def _deviation_envelope(w: float, x: float, hbar: float):
@@ -259,14 +262,16 @@ def _deviation_envelope(w: float, x: float, hbar: float):
     curve i, every deviation |p_i - p_exact| computed in float64 from
     ``_normalized_triple(w, x, hbar, t)`` obeys
 
-        dev <= min(_DEVIATION_CAP, min(1, rates[i] |t|) + floor).
+        dev <= min(_DEVIATION_CAP, sin(min(rates[i] |t|, pi/2)) + floor).
 
     With e = 2**-52, u = x^2 / 4W^2, and A, B the phases the exact and
     the other curve compute, the identity
 
         sin^2 A / (1 + u) - sin^2 B = sin(A - B) sin(A + B) - u/(1 + u) sin^2 A
 
-    bounds the deviation at those float phases by min(1, |A - B|) + u/(1 + u).
+    bounds the deviation at those float phases by |sin(A - B)| + u/(1 + u).
+    |A - B| <= rates[i] |t| below, and sin rises on [0, pi/2], so
+    |sin(A - B)| <= sin(min(rates[i] |t|, pi/2)); ``_safe_time`` inverts that.
 
     Phases: each is fl(fl(gap t) / hbar), two roundings of gap t / hbar, so
     |A - B| <= |t| (|gap_exact - gap_other| + (e + e^2/4)(gap_exact + gap_other)) / hbar.
@@ -291,12 +296,36 @@ def _deviation_envelope(w: float, x: float, hbar: float):
     quotient rounds up by at most e/2. A difference of two such values
     rounds by e/2 relatively more, and the e^2 terms stay below e/2, so
     dev <= 1 + c e with c = 2s + 2, and _DEVIATION_CAP = 1 + c e is exact.
+
+    Inverse: dev <= threshold for certain while rates[i] |t| <= asin(m)
+    with m = threshold - floor in [0, 1). Near m = 1 the slope of asin
+    grows without bound, so a margin rounded up could move the cutoff by
+    far more than its own rounding: ``_safe_time`` rounds fl(m) one step
+    toward 0, which puts it at or below m. Then asin errs by at most
+    _ASIN_ULPS ulps, the quotient and the scaling by e/2 relatively each,
+    and 1 - (_ASIN_ULPS + 4) e outweighs all three. A quotient below the
+    normal range errs by at most 2**-1074 absolutely, which is subtracted.
     """
     exact, improved = _gaps(w, x)
     others = np.array([2.0 * w, improved])
     rates = (np.abs(exact - others) + _EPS * (exact + others)) / hbar * (1.0 + 4.0 * _EPS)
     u = (x * x) / (4.0 * w * w)
     return rates, float(u / (1.0 + u) + _FLOOR_EPS * _EPS)
+
+
+def _safe_time(rate: float, floor: float, threshold: float) -> float:
+    """A |t| up to which sin(min(rate |t|, pi/2)) + floor <= threshold
+    holds for certain, by the rounding argument of ``_deviation_envelope``:
+    inf when no computed deviation can exceed the threshold, -inf when not
+    even at t = 0."""
+    if threshold >= _DEVIATION_CAP:
+        return math.inf
+    margin = math.nextafter(threshold - floor, 0.0)
+    if margin >= 1.0:
+        return math.inf
+    if not margin > 0.0:
+        return -math.inf
+    return math.asin(margin) / rate * (1.0 - (_ASIN_ULPS + 4) * _EPS) - 2.0**-1074
 
 
 def normalized_probabilities(config: HyperfineConfig, t):

@@ -1,14 +1,17 @@
 """Time and field sweeps of the three probability curves, CSV output.
 
-A ``SweepTable`` is a lazy view of one sweep: its grid and the curve
-parameters. One walker evaluates its rows, the three curves and their
-absolute deviations from the exact one, ``_CHUNK_ROWS`` at a time for both
-``emit_csv`` and ``first_crossings``, so neither holds more than the grid
-and one chunk. Output is deterministic down to the byte for identical inputs.
+A ``SweepTable`` is a lazy view of one sweep, down to its grid: a
+``_Grid`` computes any slice of the abscissas on demand, bit-equal to
+numpy's ``linspace`` or ``geomspace``. One walker evaluates its rows, the
+three curves and their absolute deviations from the exact one,
+``_CHUNK_ROWS`` at a time for both ``emit_csv`` and ``first_crossings``, so
+neither holds more than one chunk. Output is deterministic down to the
+byte for identical inputs.
 
 ``first_crossings`` skips the rows of a time sweep that the certified
 deviation envelope of ``hyperfine._deviation_envelope`` proves cannot
-cross, and stops at the first crossing.
+cross, as inverted by ``hyperfine._safe_time``, and stops at the first
+crossing.
 
 CSV text is the bytes of ``'%.16e'`` per value, produced by a numpy kernel
 over each chunk. For each value in the window 1e-11 <= |v| < 1e17 (and
@@ -21,6 +24,7 @@ written to a temporary file beside the destination and moved into place.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import numbers
@@ -33,7 +37,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidSweepSpec, IoFailure
 from .hyperfine import HyperfineConfig, PhysicalConstants, angular_rates
-from .hyperfine import _DEVIATION_CAP, _EPS, _deviation_envelope, _normalized_triple
+from .hyperfine import _deviation_envelope, _normalized_triple, _safe_time
 
 CSV_HEADER = "x,p_exact,p_improved,p_traditional,dev_improved,dev_traditional"
 _COLUMNS = tuple(CSV_HEADER.split(","))
@@ -83,24 +87,71 @@ class SweepSpec:
             raise InvalidSweepSpec("field sweeps need B >= 0")
 
 
+class _Grid:
+    """The abscissa grid of a spec, computed only where it is indexed: by a
+    row, which gives a float, or by a slice, which gives an array.
+
+    It takes numpy's own float64 steps, so every row is bit-equal to
+    ``np.linspace(start, stop, samples)``, or on a log scale to
+    ``np.geomspace``: row i is i * step + start, or i / div * delta + start
+    where the step underflows to 0, the last row is ``stop``, and a log
+    grid is 10 to the power of that over the log10 endpoints with its first
+    and last rows set to ``start`` and ``stop``.
+    """
+
+    def __init__(self, spec: SweepSpec):
+        self._rows = int(spec.samples)
+        start, stop = np.float64(spec.start), np.float64(spec.stop)
+        self._log = spec.scale == "log"
+        self._exact = {self._rows - 1: stop}  # the rows numpy sets to an endpoint
+        if self._log:
+            self._exact[0] = start
+            start, stop = np.log10(start), np.log10(stop)
+        self._start, self._div = start, self._rows - 1
+        self._delta = stop - start
+        self._step = self._delta / self._div
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __getitem__(self, key):
+        rows = range(self._rows)[key]
+        if isinstance(rows, int):
+            return self._exact[rows] if rows in self._exact else self._at(np.float64(rows))
+        y = self._at(np.arange(rows.start, rows.stop, rows.step, dtype=np.float64))
+        for row, value in self._exact.items():
+            if row in rows:
+                y[rows.index(row)] = value
+        return y
+
+    def _at(self, i):
+        """The grid at float64 row numbers ``i`` before numpy sets the endpoints."""
+        if self._step == 0.0:
+            y = i / self._div * self._delta + self._start
+        else:
+            y = i * self._step + self._start
+        return np.power(10.0, y) if self._log else y
+
+
 def sweep_grid(spec: SweepSpec) -> NDArray[np.float64]:
-    """The abscissa grid: linspace, or geomspace for log scale. Endpoints exact."""
-    if spec.scale == "linear":
-        return np.linspace(spec.start, spec.stop, int(spec.samples))
-    return np.geomspace(spec.start, spec.stop, int(spec.samples))
+    """The abscissa grid as one array: ``np.linspace``, or ``np.geomspace``
+    for log scale, bit for bit. Endpoints exact."""
+    return _Grid(spec)[:]
 
 
 class SweepTable:
     """One sweep as a lazy view: the grid ``x`` and the curve parameters.
-    ``rows(lo, hi)`` evaluates rows lo..hi into a (hi - lo, 6) block in CSV
-    column order; a row depends on its grid value alone, so slices agree."""
 
-    def __init__(self, x: NDArray[np.float64], mode: str, fixed_value: float,
-                 constants: PhysicalConstants):
+    ``x`` is a lazy grid that computes the abscissas a slice at a time;
+    ``table.x[:]`` gives them as one array. ``rows(lo, hi)`` evaluates rows
+    lo..hi into a (hi - lo, 6) block in CSV column order; a row depends on
+    its grid value alone, so slices agree."""
+
+    def __init__(self, x: _Grid, mode: str, fixed_value: float, constants: PhysicalConstants):
         self.x, self.mode, self.fixed_value, self.constants = x, mode, fixed_value, constants
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return len(self.x)
 
     def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
         k, x = self.constants, self.x[lo:hi]
@@ -110,9 +161,9 @@ class SweepTable:
 
 
 def run_sweep(spec: SweepSpec, config: HyperfineConfig) -> SweepTable:
-    """The sweep of ``spec`` as a lazy table; only its grid is computed here.
+    """The sweep of ``spec`` as a lazy table; nothing is computed here.
     A time sweep holds B = ``spec.fixed_value``. Row count == samples."""
-    return SweepTable(sweep_grid(spec), spec.mode, spec.fixed_value, config.constants)
+    return SweepTable(_Grid(spec), spec.mode, spec.fixed_value, config.constants)
 
 
 def _walk(table, ranges):
@@ -175,24 +226,12 @@ def divergence_report(
     return first_crossings(run_sweep(spec, config), threshold)
 
 
-def _safe_time(rate: float, floor: float, threshold: float) -> float:
-    """A |t| up to which min(1, rate |t|) + floor <= threshold holds for
-    certain: inf when no computed deviation can exceed the threshold,
-    -inf when not even at t = 0."""
-    if threshold >= _DEVIATION_CAP:
-        return math.inf
-    margin = threshold - floor  # one rounding
-    if not margin > 0.0:
-        return -math.inf
-    # the difference and the quotient round once each; 4 eps more covers both
-    return margin / rate * (1.0 - 4.0 * _EPS)
-
-
-def _unsafe_rows(grid: NDArray[np.float64], t_safe: float) -> list[tuple[int, int]]:
+def _unsafe_rows(grid, t_safe: float) -> list[tuple[int, int]]:
     """Row ranges of an ascending grid outside the run |t| <= t_safe, which
-    is shrunk by one row at each edge that falls inside the grid."""
-    lo = int(np.searchsorted(grid, -t_safe, "left"))
-    hi = int(np.searchsorted(grid, t_safe, "right"))
+    is shrunk by one row at each edge that falls inside the grid. Two
+    bisections read about 2 log2(len) rows of a lazy grid."""
+    lo = bisect.bisect_left(grid, -t_safe)
+    hi = bisect.bisect_right(grid, t_safe)
     if lo > 0:
         lo += 1
     if hi < len(grid):

@@ -69,3 +69,18 @@ def test_require_hermitian_runs_only_at_the_two_gates():
         for owner in references(ast.parse(path.read_text(), filename=str(path)), None)
     }
     assert users == {("perturb", "_validate"), ("hermitian", "eigendecompose")}
+
+
+def test_only_the_lazy_grid_computes_grids():
+    # sweep._Grid repeats numpy's linspace/geomspace steps a slice at a time;
+    # a second caller of either would be a second grid formula to keep equal
+    def called_name(node):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and called_name(node) in {"linspace", "geomspace"}
+    ]
+    assert SOURCES and not found, found

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import ColumnTable, reference_csv_rows
 
@@ -88,7 +88,52 @@ class TestSpecValidation:
             SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1.0, samples=bad)
 
 
+TINY = 5e-324  # the smallest subnormal
+
+
+@st.composite
+def grid_specs(draw):
+    """Linear windows from t < 0 or t >= 0, log windows, and windows a few
+    subnormals wide, whose step underflows to 0 once samples > 2."""
+    kind = draw(st.sampled_from(["linear", "log", "subnormal"]))
+    if kind == "subnormal":
+        start = draw(st.integers(-4, 4)) * TINY
+        stop = start + draw(st.integers(1, 8)) * TINY
+    elif kind == "linear":
+        start = draw(st.floats(-1e3, 1e3))
+        stop = start + 10.0 ** draw(st.floats(-9.0, 4.0))
+    else:
+        start = 10.0 ** draw(st.floats(-12.0, 3.0))
+        stop = start * 10.0 ** draw(st.floats(1e-9, 6.0))
+    assume(start < stop)
+    samples = draw(st.one_of(st.just(2), st.integers(2, 64), st.integers(2, 3 * sweep._CHUNK_ROWS)))
+    return SweepSpec(mode="time", fixed_value=1e-3, start=start, stop=stop, samples=samples,
+                     scale="log" if kind == "log" else "linear")
+
+
 class TestGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_specs(), st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+    @example(SweepSpec(mode="time", fixed_value=1e-3, start=-TINY, stop=TINY, samples=5),
+             [0.0, 0.5, 1.0, 0.25, 0.75, 0.1])
+    # 10**log10(0.3) != 0.3: numpy sets a log grid's first row to start
+    @example(SweepSpec(mode="time", fixed_value=1e-3, start=0.3, stop=30.0, samples=2,
+                       scale="log"), [0.0] * 6)
+    def test_lazy_slices_are_bit_equal_to_numpy(self, spec, spots):
+        # spots place each slice's first row, then the scalar row, in the grid
+        space = np.linspace if spec.scale == "linear" else np.geomspace
+        expected = space(spec.start, spec.stop, spec.samples).view(np.uint64)
+        grid, n = sweep._Grid(spec), spec.samples
+        assert len(grid) == n
+        sizes = (1, sweep._CHUNK_ROWS - 1, sweep._CHUNK_ROWS, sweep._CHUNK_ROWS + 1, n)
+        for size, spot in zip(sizes, spots):  # the last slice ends at the last row
+            lo = int(spot * (n - 1))
+            np.testing.assert_array_equal(grid[lo : lo + size].view(np.uint64),
+                                          expected[lo : lo + size])
+        np.testing.assert_array_equal(sweep_grid(spec).view(np.uint64), expected)
+        row = int(spots[-1] * (2 * n - 1)) - n
+        assert np.asarray(grid[row]).view(np.uint64) == expected[row]
+
     def test_linear_matches_formula_within_one_ulp(self):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=10001)
         grid = sweep_grid(spec)
@@ -227,6 +272,37 @@ class TestDivergenceReport:
         assert divergence_report(spec, CONFIG, 1.0003) == full == (math.inf, math.inf)
         assert rows == []
 
+    def test_late_crossing_evaluates_at_most_two_chunks(self, monkeypatch):
+        # the improved curve crosses at 23.97 s. The sine envelope's cutoff,
+        # 23.95 s, lies about 2,000 rows before it; the linear one, 22.78 s,
+        # lay about 119,000 rows before, and the walk evaluated 60 chunks
+        b_field = 1.0559497443981638e-3
+        spec = SweepSpec(mode="time", fixed_value=b_field, start=0.0, stop=30.0,
+                         samples=3_000_000)
+        rows = []
+
+        def counting(w, x, hbar, t):
+            rows.append(len(t))
+            return hyperfine._normalized_triple(w, x, hbar, t)
+
+        monkeypatch.setattr(sweep, "_normalized_triple", counting)
+        config = HyperfineConfig(b_field=b_field)
+        t_traditional, t_improved = divergence_report(spec, config, 0.5198374750692237)
+        assert t_improved == 23.968957989652665 and t_traditional < 1e-4
+        assert len(rows) <= 2 and sum(rows) <= 2 * sweep._CHUNK_ROWS
+
+    def test_divergence_report_holds_no_grid(self):
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
+        divergence_report(spec, CONFIG, 0.5)  # warm up
+        tracemalloc.start()
+        try:
+            divergence_report(spec, CONFIG, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the eager grid alone was 24 MB
+        assert peak < 1024 * 1024
+
 
 def constants_and_field(b_field):
     k = CONFIG.constants
@@ -282,11 +358,21 @@ class TestPrunedDivergence:
         def envelope(fraction):  # at fraction * the grid's widest |t|
             return min(1.0, reach * fraction) + floor
 
+        def sine_envelope(fraction):
+            return math.sin(min(reach * fraction, math.pi / 2)) + floor
+
+        eps = 2.0**-52
         threshold = data.draw(
             st.one_of(
                 st.floats(1e-3, 1.0),
                 st.floats(0.0, 1.0).map(envelope),
                 st.floats(-1e-6, 1e-6).map(lambda d: envelope(1.0) + d),
+                st.floats(0.0, 1.0).map(sine_envelope),
+                st.floats(-1e-6, 1e-6).map(lambda d: sine_envelope(1.0) + d),
+                # margins threshold - floor within a few ulps of 1, and of the
+                # widest one below the cap
+                st.integers(-8, 8).map(lambda k: 1.0 + floor + k * eps),
+                st.integers(-8, 0).map(lambda k: hyperfine._DEVIATION_CAP + k * eps),
                 st.floats(1.0, 3.0),
                 st.floats(1.0, hyperfine._DEVIATION_CAP + 1e-15),
             ).filter(lambda v: v > 0.0)
@@ -302,6 +388,7 @@ class TestPrunedDivergence:
         table = oracles.run_sweep(spec, CONFIG)
         for rate, dev in zip(rates, (table.dev_traditional, table.dev_improved)):
             assert np.all(dev <= np.minimum(1.0, rate * np.abs(table.x)) + floor)
+            assert np.all(dev <= np.sin(np.minimum(rate * np.abs(table.x), np.pi / 2)) + floor)
             assert np.all(dev <= hyperfine._DEVIATION_CAP)
 
     def test_envelope_and_cutoff_pinned(self):
@@ -317,23 +404,33 @@ class TestPrunedDivergence:
             u = x * x / (4.0 * w * w)
             # amplitude mismatch plus (4 sin ulps + 8) eps of rounding
             assert floor == u / (1.0 + u) + 24 * eps
-            cutoff = (0.5 - floor) / rates[0] * (1 - 4 * eps)
-            assert sweep._safe_time(rates[0], floor, 0.5) == cutoff
+            for rate in rates:
+                # asin of the margin rounded toward 0, less (4 asin ulps + 4) eps
+                margin = math.nextafter(0.5 - floor, 0.0)
+                cutoff = math.asin(margin) / rate * (1 - 8 * eps) - 2.0**-1074
+                assert hyperfine._safe_time(rate, floor, 0.5) == cutoff
+                # never below the linear bound's cutoff min(1, rate |t|) + floor
+                assert cutoff >= (0.5 - floor) / rate * (1 - 4 * eps)
         # criterion 7: the improved curve provably stays within 0.5 up to
-        # 30.37 s. The gaps part at the x^6 / 512 W^5 term of the square root.
+        # 31.80 s. The gaps part at the x^6 / 512 W^5 term of the square root.
         w, x, hbar = constants_and_field(1e-3)
         rates, floor = hyperfine._deviation_envelope(w, x, hbar)
         u = x * x / (4.0 * w * w)
-        by_hand = (0.5 - u / (1.0 + u)) / (x**6 / (512.0 * w**5) / hbar)
-        assert sweep._safe_time(rates[1], floor, 0.5) == pytest.approx(by_hand, rel=1e-3)
-        assert sweep._safe_time(rates[1], floor, 0.5) > 30.0
-        assert sweep._safe_time(rates[1], floor, 1.0 + 2 * floor) == math.inf
+        by_hand = math.asin(0.5 - u / (1.0 + u)) / (x**6 / (512.0 * w**5) / hbar)
+        assert hyperfine._safe_time(rates[1], floor, 0.5) == pytest.approx(by_hand, rel=1e-3)
+        assert hyperfine._safe_time(rates[1], floor, 0.5) > 31.0
+        assert hyperfine._safe_time(rates[1], floor, 1.0 + 2 * floor) == math.inf
         # the cap on computed deviations: 1 + (2 sin ulps + 2) eps
         cap = hyperfine._DEVIATION_CAP
         assert cap == 1.0 + 10 * eps
-        assert sweep._safe_time(rates[1], floor, cap) == math.inf
-        assert math.isfinite(sweep._safe_time(rates[1], floor, np.nextafter(cap, 0.0)))
-        assert sweep._safe_time(rates[1], floor, floor) == -math.inf
+        # the widest margin below the cap, at B = 0 (floor 24 eps): 1 - 15 eps
+        # rounds down to 1 - 15.5 eps, where asin's slope is about 1e7
+        zero_rates, zero_floor = hyperfine._deviation_envelope(*constants_and_field(0.0))
+        near_one = math.asin(1.0 - 15.5 * eps) / zero_rates[0] * (1 - 8 * eps) - 2.0**-1074
+        assert hyperfine._safe_time(zero_rates[0], zero_floor, 1.0 + 9 * eps) == near_one
+        assert hyperfine._safe_time(rates[1], floor, cap) == math.inf
+        assert math.isfinite(hyperfine._safe_time(rates[1], floor, np.nextafter(cap, 0.0)))
+        assert hyperfine._safe_time(rates[1], floor, floor) == -math.inf
 
     @pytest.mark.parametrize(
         "t_safe, expected",
@@ -445,9 +542,9 @@ class TestWalker:
 
         peak(100_000)  # warm up
         growth = peak(400_000) - peak(100_000)
-        grid_growth = 300_000 * 8
-        # a whole table would add six columns of 2.4 MB each
-        assert growth < grid_growth + 256 * 1024
+        # the lazy grid holds no row; an eager grid would add 2.4 MB, and a
+        # whole table six columns of 2.4 MB each
+        assert growth < 256 * 1024
 
 
 class TestEmitCsv:
