@@ -51,7 +51,6 @@ from .sweep import (
     divergence_report,
     emit_csv,
     run_sweep,
-    sweep_grid,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +88,6 @@ __all__ = [
     "redivide",
     "require_hermitian",
     "run_sweep",
-    "sweep_grid",
     "transition_probability_exact",
     "transition_probability_improved",
     "transition_probability_traditional",

@@ -11,7 +11,8 @@ Constants come from a plain key/value config file (--config or the
 PERTURBA_CONFIG environment variable); recognized keys are mu_e,
 delta_nu_h, planck_h, elementary_charge and b_field. Flags override the
 file. Exit codes: 0 success, 1 validation error (including an
-allocation that does not fit in memory), 2 I/O error.
+allocation that does not fit in memory), 2 I/O error (including an --out
+directory without room for the CSV).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import fields
 
 from .hyperfine import HyperfineConfig, PhysicalConstants
 from .sweep import SweepSpec, emit_csv, first_crossings, run_sweep
-from .sweep import _MODES, _SCALES, _aliasing_phase, _check_divergence
+from .sweep import _MODES, _SCALES, _aliasing_phase
 
 CONFIG_ENV_VAR = "PERTURBA_CONFIG"
 
@@ -128,13 +129,11 @@ def main(argv=None) -> int:
             samples=args.samples,
             scale=args.scale,
         )
-        # a field sweep reads only the constants: the held value is a time
-        config = HyperfineConfig(
-            b_field=fixed if args.mode == "time" else 0.0, constants=constants
-        )
+        # run_sweep reads only the constants; the spec holds B or t fixed
+        config = HyperfineConfig(b_field=0.0, constants=constants)
 
-        if args.threshold is not None:
-            _check_divergence(args.mode, args.threshold)
+        table = run_sweep(spec, config)
+        crossings = None if args.threshold is None else first_crossings(table, args.threshold)
         phase = _aliasing_phase(spec, constants)
         if phase is not None:
             print(
@@ -143,15 +142,11 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
 
-        table = run_sweep(spec, config)
-
         emit_csv(table, args.out or sys.stdout)
-        report_stream = sys.stdout if args.out else sys.stderr
-
-        if args.threshold is not None:
-            t_traditional, t_improved = first_crossings(table, args.threshold)
-            print(f"first_crossing_traditional = {t_traditional!r}", file=report_stream)
-            print(f"first_crossing_improved = {t_improved!r}", file=report_stream)
+        if crossings is not None:
+            for curve, crossing in zip(("traditional", "improved"), crossings):
+                print(f"first_crossing_{curve} = {crossing!r}",
+                      file=sys.stdout if args.out else sys.stderr)
         return 0
     except ValueError as exc:
         print(f"perturba: error: {exc}", file=sys.stderr)

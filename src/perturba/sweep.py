@@ -2,16 +2,18 @@
 
 A ``SweepTable`` is a lazy view of one sweep, down to its grid: a
 ``_Grid`` computes any slice of the abscissas on demand, bit-equal to
-numpy's ``linspace`` or ``geomspace``. One walker evaluates its rows, the
-three curves and their absolute deviations from the exact one,
-``_CHUNK_ROWS`` at a time for both ``emit_csv`` and ``first_crossings``, so
-neither holds more than one chunk. Output is deterministic down to the
-byte for identical inputs.
+numpy's ``linspace`` or ``geomspace``, and is the one place the grid's
+geometry is written down. One walker evaluates its rows, the three curves
+and their absolute deviations from the exact one, ``_CHUNK_ROWS`` at a
+time for both ``emit_csv`` and ``first_crossings``, so neither holds more
+than one chunk. Output is deterministic down to the byte for identical
+inputs.
 
-``first_crossings`` skips the rows of a time sweep that the certified
-deviation envelope of ``hyperfine._deviation_envelope`` proves cannot
-cross, as inverted by ``hyperfine._safe_time``, and stops at the first
-crossing.
+``first_crossings`` owns the divergence query: it rejects a field sweep or
+a threshold that is not > 0 before it evaluates a row, skips the rows of
+the time sweep that the certified deviation envelope of
+``hyperfine._deviation_envelope`` proves cannot cross, as inverted by
+``hyperfine._safe_time``, and stops at the first crossing.
 
 CSV text is the bytes of ``'%.16e'`` per value, produced by a numpy kernel
 over each chunk. For each value in the window 1e-11 <= |v| < 1e17 (and
@@ -19,16 +21,19 @@ zeros) it computes the 17 decimal digits exactly, with integer arithmetic
 on the value's binary mantissa and round-half-to-even, and writes them into
 fixed-width byte fields. A row holding any other value (nan, inf,
 subnormal, tiny or huge) is formatted with ``'%.16e'`` itself. Files are
-written to a temporary file beside the destination and moved into place.
+written to a temporary file beside the destination and moved into place,
+once the directory has room for the smallest CSV the table could give.
 """
 
 from __future__ import annotations
 
 import bisect
 import contextlib
+import errno
 import math
 import numbers
 import os
+import shutil
 import stat
 from dataclasses import dataclass
 
@@ -133,12 +138,6 @@ class _Grid:
         return np.power(10.0, y) if self._log else y
 
 
-def sweep_grid(spec: SweepSpec) -> NDArray[np.float64]:
-    """The abscissa grid as one array: ``np.linspace``, or ``np.geomspace``
-    for log scale, bit for bit. Endpoints exact."""
-    return _Grid(spec)[:]
-
-
 class SweepTable:
     """One sweep as a lazy view: the grid ``x`` and the curve parameters.
 
@@ -162,7 +161,8 @@ class SweepTable:
 
 def run_sweep(spec: SweepSpec, config: HyperfineConfig) -> SweepTable:
     """The sweep of ``spec`` as a lazy table; nothing is computed here.
-    A time sweep holds B = ``spec.fixed_value``. Row count == samples."""
+    Only ``config.constants`` is read: a time sweep holds B at
+    ``spec.fixed_value``, not at ``config.b_field``. Row count == samples."""
     return SweepTable(_Grid(spec), spec.mode, spec.fixed_value, config.constants)
 
 
@@ -174,20 +174,24 @@ def _walk(table, ranges):
 
 
 def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
-    """(traditional, improved): the first abscissa where each deviation
-    exceeds ``threshold``, scanning ascending; math.inf when none does.
+    """(traditional, improved): the first time where each deviation of a
+    time sweep exceeds ``threshold``, scanning ascending; math.inf when none
+    does. A field sweep, or a threshold that is not > 0 (nan included),
+    raises InvalidSweepSpec before any row is evaluated.
 
     One walk serves both curves and stops once both have crossed. It skips
     the rows no open curve can cross, then resumes past a crossing's chunk
-    over the other curve's rows alone. A field sweep's rows are fields, not
-    times, so only the cap on every deviation skips rows there, all or none.
+    over the other curve's rows alone.
     """
+    if table.mode != "time":
+        raise InvalidSweepSpec(
+            f"a divergence threshold needs a time sweep, got mode {table.mode!r}"
+        )
+    if not threshold > 0.0:
+        raise InvalidSweepSpec(f"threshold must be positive, got {threshold}")
     k = table.constants
-    if table.mode == "time":
-        x_ev = k.mu_e_ev_per_tesla * table.fixed_value
-        rates, floor = _deviation_envelope(k.w_ev, x_ev, k.hbar_evs)
-    else:
-        rates, floor = (math.inf, math.inf), math.inf
+    x_ev = k.mu_e_ev_per_tesla * table.fixed_value
+    rates, floor = _deviation_envelope(k.w_ev, x_ev, k.hbar_evs)
     safe = [_safe_time(rate, floor, threshold) for rate in rates]
     crossings = [math.inf, math.inf]
     done = 0  # rows below this are settled for every open curve
@@ -207,22 +211,12 @@ def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
     return crossings[0], crossings[1]
 
 
-def _check_divergence(mode: str, threshold: float) -> None:
-    """Reject a divergence query on a field sweep or with a threshold not > 0."""
-    if mode != "time":
-        raise InvalidSweepSpec(f"a divergence threshold needs a time sweep, got mode {mode!r}")
-    if not threshold > 0.0:
-        raise InvalidSweepSpec(f"threshold must be positive, got {threshold}")
-
-
 def divergence_report(
     spec: SweepSpec, config: HyperfineConfig, threshold: float
 ) -> tuple[float, float]:
     """(t_traditional, t_improved): where each curve first strays from the
     exact one by more than ``threshold`` on the grid of a time sweep;
-    ``first_crossings`` of the lazy table, once ``_check_divergence`` passes.
-    """
-    _check_divergence(spec.mode, threshold)
+    ``first_crossings`` of the lazy table, which validates the query."""
     return first_crossings(run_sweep(spec, config), threshold)
 
 
@@ -243,14 +237,13 @@ def _unsafe_rows(grid, t_safe: float) -> list[tuple[int, int]]:
 
 def _aliasing_phase(spec: SweepSpec, constants) -> float | None:
     """The phase (rad) the fastest curve sin^2(rate t) of a time sweep
-    advances over its widest grid step, when that exceeds pi/2 and so the
-    grid holds fewer than two samples per period; None otherwise."""
+    advances over its widest grid step, the first or the last, when that
+    exceeds pi/2 and so the grid holds fewer than two samples per period;
+    None otherwise."""
     if spec.mode != "time":
         return None
-    if spec.scale == "linear":
-        step = (spec.stop - spec.start) / (spec.samples - 1)
-    else:  # a geometric grid's widest step is its last
-        step = -spec.stop * math.expm1(math.log(spec.start / spec.stop) / (spec.samples - 1))
+    grid = _Grid(spec)
+    step = max(grid[1] - grid[0], grid[-1] - grid[-2])
     phase = max(abs(rate) for rate in angular_rates(constants, spec.fixed_value)) * step
     return phase if phase > math.pi / 2 else None
 
@@ -376,11 +369,12 @@ def _format_block(block: NDArray[np.float64]) -> bytes:
     return b"".join(pieces)
 
 
-def _write_atomically(path, write) -> int:
+def _write_atomically(path, write, least: int) -> int:
     """Run ``write(binary_handle)`` against a temporary file beside ``path``
     and move it into place, so a failure leaves any old file as it was.
-    An existing non-regular destination (a FIFO, /dev/stdout) is written in
-    place."""
+    Fails with ENOSPC before creating anything when the directory has fewer
+    than ``least`` bytes free. An existing non-regular destination (a FIFO,
+    /dev/stdout) is written in place, unchecked."""
     target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode
@@ -392,6 +386,9 @@ def _write_atomically(path, write) -> int:
     directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
+        free = shutil.disk_usage(directory).free
+        if least > free:
+            raise OSError(errno.ENOSPC, f"the CSV needs at least {least} bytes, {free} are free")
         descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         exc.filename = os.fspath(path)  # name the destination, not the temporary
@@ -417,7 +414,8 @@ def emit_csv(table: SweepTable, destination) -> int:
     the emitted text. Raises on an empty table before touching the
     destination, and wraps write errors in IoFailure. A path is written
     through a temporary file in the same directory, so a failed write
-    leaves an existing file unchanged.
+    leaves an existing file unchanged; it is refused up front when its
+    directory cannot hold 4 bytes per value ('nan' and a separator).
     """
     count = len(table)
     if count == 0:
@@ -432,7 +430,9 @@ def emit_csv(table: SweepTable, destination) -> int:
         if hasattr(destination, "write"):
             return sum(destination.write(block.decode("ascii")) for block in blocks())
         return _write_atomically(
-            destination, lambda handle: sum(handle.write(block) for block in blocks())
+            destination,
+            lambda handle: sum(handle.write(block) for block in blocks()),
+            len(CSV_HEADER) + 1 + 4 * len(_COLUMNS) * count,
         )
     except OSError as exc:
         raise IoFailure(f"CSV write failed: {exc}") from exc

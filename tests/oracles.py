@@ -148,10 +148,11 @@ class ColumnTable:
 def run_sweep(spec, config):
     """The whole sweep table at once, every row evaluated in one call of
     the curve kernel, as ``sweep.run_sweep`` built it before it walked
-    the grid in chunks."""
-    from perturba import hyperfine, sweep_grid
+    the grid in chunks, on numpy's own grid."""
+    from perturba import hyperfine
 
-    grid = sweep_grid(spec)
+    space = np.linspace if spec.scale == "linear" else np.geomspace
+    grid = space(spec.start, spec.stop, spec.samples)
     constants = config.constants
     b_field, t = (spec.fixed_value, grid) if spec.mode == "time" else (grid, spec.fixed_value)
     x_ev = constants.mu_e_ev_per_tesla * b_field

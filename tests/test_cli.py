@@ -1,5 +1,8 @@
 """End-to-end checks of the command-line front end."""
 
+import os
+import shutil
+
 import numpy as np
 import oracles
 import pytest
@@ -201,6 +204,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("perturba: error: ") and "7.28 TiB" in err
         assert "Traceback" not in err
+
+    def test_csv_that_cannot_fit_exits_two(self, tmp_path, monkeypatch, capsys):
+        # 100,000 rows need at least 2.4 MB; the directory has 1 MB free
+        disk_usage = shutil.disk_usage
+        monkeypatch.setattr(shutil, "disk_usage",
+                            lambda path: disk_usage(path)._replace(free=10**6))
+        args = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1e-5",
+                "--samples", "100000", "--out", str(tmp_path / "sweep.csv")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("perturba: i/o error: ") and "1000000 are free" in err
+        assert len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == []
 
     def test_unwritable_out_exits_two(self, tmp_path):
         out = tmp_path / "missing" / "dir" / "x.csv"

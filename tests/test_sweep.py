@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import shutil
 import stat
 import threading
 import tracemalloc
@@ -25,7 +26,6 @@ from perturba import (
     hyperfine,
     run_sweep,
     sweep,
-    sweep_grid,
 )
 from perturba.sweep import CSV_HEADER, first_crossings
 
@@ -130,13 +130,13 @@ class TestGrid:
             lo = int(spot * (n - 1))
             np.testing.assert_array_equal(grid[lo : lo + size].view(np.uint64),
                                           expected[lo : lo + size])
-        np.testing.assert_array_equal(sweep_grid(spec).view(np.uint64), expected)
+        np.testing.assert_array_equal(grid[:].view(np.uint64), expected)
         row = int(spots[-1] * (2 * n - 1)) - n
         assert np.asarray(grid[row]).view(np.uint64) == expected[row]
 
     def test_linear_matches_formula_within_one_ulp(self):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=10001)
-        grid = sweep_grid(spec)
+        grid = sweep._Grid(spec)[:]
         step = (spec.stop - spec.start) / (spec.samples - 1)
         formula = spec.start + np.arange(spec.samples) * step
         np.testing.assert_array_max_ulp(grid, formula, maxulp=1)
@@ -146,7 +146,7 @@ class TestGrid:
         spec = SweepSpec(
             mode="field", fixed_value=1.0, start=1e-4, stop=1e-2, samples=501, scale="log"
         )
-        grid = sweep_grid(spec)
+        grid = sweep._Grid(spec)[:]
         lo, hi = np.log10(spec.start), np.log10(spec.stop)
         formula = 10 ** (lo + np.arange(spec.samples) * ((hi - lo) / (spec.samples - 1)))
         np.testing.assert_array_max_ulp(grid, formula, maxulp=1)
@@ -166,7 +166,7 @@ class TestRunSweep:
         x, p_exact, p_improved, p_traditional, dev_improved, dev_traditional = whole(table).T
         for column in (x, p_exact, p_improved, p_traditional, dev_improved, dev_traditional):
             assert column.shape == (11,)
-        np.testing.assert_array_equal(x, sweep_grid(spec))
+        np.testing.assert_array_equal(x, np.linspace(spec.start, spec.stop, spec.samples))
         assert dev_improved[3] == abs(p_improved[3] - p_exact[3])
         assert dev_traditional[3] == abs(p_traditional[3] - p_exact[3])
 
@@ -447,7 +447,7 @@ class TestPrunedDivergence:
     @given(time_specs(max_samples=10_000), st.integers(1, 5000))
     def test_chunked_curves_are_bit_identical(self, spec, chunk):
         w, x, hbar = constants_and_field(spec.fixed_value)
-        t = sweep_grid(spec)
+        t = sweep._Grid(spec)[:]
         whole = hyperfine._normalized_triple(w, x, hbar, t)
         pieces = [hyperfine._normalized_triple(w, x, hbar, t[lo : lo + chunk])
                   for lo in range(0, len(t), chunk)]
@@ -457,16 +457,16 @@ class TestPrunedDivergence:
             )
 
 
-@st.composite
-def field_specs(draw, max_samples=3 * sweep._CHUNK_ROWS + 100):
-    """Field sweeps up to 0.05 T, past the perturbative regime, at a held
-    time from 1 ns to 10 s, on linear or log grids."""
-    scale = draw(st.sampled_from(sweep._SCALES))
-    stop = 10.0 ** draw(st.floats(-6.0, math.log10(0.05)))
-    start = stop * draw(st.floats(1e-6 if scale == "log" else 0.0, 0.99))
-    return SweepSpec(mode="field", fixed_value=10.0 ** draw(st.floats(-9.0, 1.0)),
-                     start=start, stop=stop, scale=scale,
-                     samples=draw(st.one_of(st.integers(2, 64), st.integers(2, max_samples))))
+def counted_rows(monkeypatch):
+    """The row count of each curve evaluation the sweep makes from now on."""
+    rows = []
+
+    def counting(w, x, hbar, t):
+        rows.append(len(t))
+        return hyperfine._normalized_triple(w, x, hbar, t)
+
+    monkeypatch.setattr(sweep, "_normalized_triple", counting)
+    return rows
 
 
 class TestWalker:
@@ -498,37 +498,41 @@ class TestWalker:
             assert target.read_bytes() == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(time_specs(), st.floats(-0.5, 1.5))
+    @given(time_specs(), st.floats(0.0, 1.5, exclude_min=True))
     def test_first_crossings_equal_oracle_on_time_sweeps(self, spec, threshold):
         table = oracles.run_sweep(spec, CONFIG)
         assert first_crossings(run_sweep(spec, CONFIG), threshold) == (
             oracles.first_crossings(table, threshold)
         )
 
-    @settings(max_examples=200, deadline=None)
-    @given(field_specs(),
-           st.one_of(st.floats(0.0, 1.0), st.floats(1.0, hyperfine._DEVIATION_CAP + 1e-15)))
-    def test_first_crossings_equal_oracle_on_field_sweeps(self, spec, threshold):
-        table = oracles.run_sweep(spec, CONFIG)
-        assert first_crossings(run_sweep(spec, CONFIG), threshold) == (
-            oracles.first_crossings(table, threshold)
-        )
+    def test_rejects_before_evaluating_a_row(self, monkeypatch):
+        rows = counted_rows(monkeypatch)
+        field = SweepSpec(mode="field", fixed_value=1.0, start=0.0, stop=1e-2, samples=10_000)
+        with pytest.raises(InvalidSweepSpec, match="^a divergence threshold needs a time sweep"):
+            first_crossings(run_sweep(field, CONFIG), 0.5)
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
+        for threshold in (0.0, -0.5, math.nan):
+            with pytest.raises(InvalidSweepSpec, match="^threshold must be positive, got"):
+                first_crossings(run_sweep(spec, CONFIG), threshold)
+        assert rows == []
 
-    def test_field_sweep_walks_each_row_once(self, monkeypatch):
-        # no envelope prunes a field sweep: one walk checks both curves and
-        # stops at the later crossing, rows 52 and 5,640 here
-        spec = SweepSpec(mode="field", fixed_value=1e-3, start=0.0, stop=1e-2, samples=10_000)
-        expected = oracles.first_crossings(oracles.run_sweep(spec, CONFIG), 0.5)
-        rows = []
-
-        def counting(w, x, hbar, t):
-            rows.append(len(x))
-            return hyperfine._normalized_triple(w, x, hbar, t)
-
-        monkeypatch.setattr(sweep, "_normalized_triple", counting)
-        assert first_crossings(run_sweep(spec, CONFIG), 0.5) == expected
-        assert np.searchsorted(sweep_grid(spec), expected).tolist() == [52, 5640]
-        assert rows == [sweep._CHUNK_ROWS] * 3
+    def test_time_sweep_walks_each_row_once(self, monkeypatch):
+        # one walk checks both curves in each chunk and stops at the later
+        # crossing, here on criterion 7's grid: both cross in the first
+        # chunk, or the improved curve crosses in the second
+        rows = counted_rows(monkeypatch)
+        t = np.linspace(0.0, 30.0, 3_000_000)
+        for b_field, threshold, crossing_rows, chunks in ((5e-3, 0.5, [5, 226], 1),
+                                                          (3e-3, 0.4, [10, 3466], 2)):
+            spec = SweepSpec(mode="time", fixed_value=b_field, start=0.0, stop=30.0,
+                             samples=3_000_000)
+            head = t[: chunks * sweep._CHUNK_ROWS]
+            p_exact, *others = hyperfine._normalized_triple(*constants_and_field(b_field), head)
+            expected = [head[np.argmax(np.abs(p - p_exact) > threshold)] for p in others[::-1]]
+            rows.clear()
+            assert list(first_crossings(run_sweep(spec, CONFIG), threshold)) == expected
+            assert np.searchsorted(t, expected).tolist() == crossing_rows
+            assert rows == [sweep._CHUNK_ROWS] * chunks
 
     def test_peak_memory_grows_only_by_the_grid(self):
         def peak(samples):
@@ -754,6 +758,26 @@ class TestAtomicCsvFile:
         assert os.path.getsize(target) == written
         assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_refuses_a_file_the_directory_cannot_hold(self, tmp_path, monkeypatch):
+        # the floor is the header plus 24 bytes a row: 'nan' and a separator
+        # per value; only a regular or absent destination is checked
+        table = self.table(100)
+        least = len(CSV_HEADER) + 1 + 24 * 100
+        disk_usage, free = shutil.disk_usage, []
+        monkeypatch.setattr(shutil, "disk_usage",
+                            lambda path: disk_usage(path)._replace(free=free[-1]))
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        free.append(least - 1)
+        with pytest.raises(IoFailure, match=rf"needs at least {least} bytes.*out\.csv'$"):
+            emit_csv(table, target)
+        assert target.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+        free.append(least)
+        assert emit_csv(table, target) == os.path.getsize(target)
+        free.append(0)
+        assert emit_csv(table, os.devnull) == emit_csv(table, io.StringIO())
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_is_written_in_place(self, tmp_path):
