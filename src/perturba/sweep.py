@@ -16,13 +16,19 @@ the time sweep that the certified deviation envelope of
 ``hyperfine._safe_time``, and stops at the first crossing.
 
 CSV text is the bytes of ``'%.16e'`` per value, produced by a numpy kernel
-over each chunk. For each value in the window 1e-11 <= |v| < 1e17 (and
-zeros) it computes the 17 decimal digits exactly, with integer arithmetic
-on the value's binary mantissa and round-half-to-even, and writes them into
-fixed-width byte fields. A row holding any other value (nan, inf,
-subnormal, tiny or huge) is formatted with ``'%.16e'`` itself. Files are
-written to a temporary file beside the destination and moved into place,
-once the directory has room for the smallest CSV the table could give.
+over each chunk. Each ``emit_csv`` call allocates the kernel's memory once
+and reuses it for every chunk: one byte buffer of sign-less fixed-width
+fields, whose '.', ',' and newline bytes are written once, and a few
+integer arrays. For each value in the window 1e-11 <= |v| < 1e17 (and
+zeros) the kernel reads the binary mantissa and exponent from the value's
+bits, computes the 17 decimal digits exactly with integer arithmetic and
+round-half-to-even, and writes them into the buffer through strided views.
+A chunk without negative values is written straight from the buffer;
+otherwise a '-' byte is inserted before each negative field. A row holding
+any other value (nan, inf, subnormal, tiny or huge) is formatted with
+``'%.16e'`` itself. Files are written to a temporary file beside the
+destination and moved into place, once the directory has room for the
+smallest CSV the table could give.
 """
 
 from __future__ import annotations
@@ -49,7 +55,9 @@ _COLUMNS = tuple(CSV_HEADER.split(","))
 
 _MODES = ("time", "field")
 _SCALES = ("linear", "log")
-#: rows per chunk of the walker; emit_csv measured fastest at 2,048-4,096 rows
+#: rows per chunk of the walker, for emit_csv and first_crossings alike; on
+#: 50,000-row tables emit_csv ran 15-20% slower at 1,024 rows and 5-7%
+#: faster at 4,096, whose buffers are twice the size
 _CHUNK_ROWS = 2048
 
 
@@ -248,120 +256,160 @@ def _aliasing_phase(spec: SweepSpec, constants) -> float | None:
     return phase if phase > math.pi / 2 else None
 
 
-# The exact %.16e kernel. A finite float64 is |v| = M 2**(E - 53) with a
-# 53-bit integer M. With p = 16 - floor(log10|v|) its 17 digits are
-# round-half-even(M 5**p / 2**(53 - E - p)), computed exactly from a 128-bit
-# product held in two uint64 words. 5**27 < 2**63 bounds the window to
-# 0 <= p <= 27, i.e. 1e-11 <= |v| < 1e17: there the decimal exponent has two
-# digits and the shifted product, 2 |v| 10**p < 2**62, fits one uint64.
-# Other values, nan and inf take the '%' format row by row.
+# The exact %.16e kernel. A finite nonzero float64 is |v| = M 2**(e - 1075)
+# with the 53-bit integer M (the fraction bits and the hidden bit) and the
+# biased exponent e, both read from its bits. With p = 16 - floor(log10|v|)
+# its 17 digits are round-half-even(M 5**p / 2**(1075 - e - p)), computed
+# exactly from a 128-bit product held in two uint64 words. 5**27 < 2**63
+# bounds the window to 0 <= p <= 27, i.e. 1e-11 <= |v| < 1e17: there the
+# decimal exponent has two digits and the product shifted to one bit below
+# the point, 2 |v| 10**p < 2**62, fits one uint64. No double in the window
+# rounds up to 1e17: the 14 that carry into the next decade lie outside it.
+#
+# floor(log10|v|) is the decade of 2**(e - 1023), plus one where M reaches
+# _DECADE[2e], the least mantissa whose value reaches the next power of ten.
+# So every per-value constant sits in a table at index 2e + that bump. A
+# zero (e = 0, M = 2**52) reads 5**p = 0 and exponent e+00. A subnormal
+# (e = 0, M > 2**52), nan, inf and any value outside the window are flagged
+# in _FALLBACK and take the '%' format row by row.
 _MAX_P = 27
-_POW5 = np.array([5**p for p in range(_MAX_P + 1)], dtype=np.uint64)
-# ASCII "0000".."9999" and "e-99".."e+99" as one uint32 each
+_FRACTION, _HIDDEN = (1 << 52) - 1, 1 << 52
+_DECADE = np.full(4096, 1 << 53, dtype=np.uint64)  # 2**53: no M reaches it
+_DECADE[0] = _HIDDEN + 1
+_POW5_LO, _POW5_HI, _RIGHT, _LEFT = np.zeros((4, 4096), dtype=np.uint64)
+_EXPONENT = np.frombuffer(b"e+00" * 4096, dtype=np.uint32).copy()
+_FALLBACK = np.ones(4096, dtype=bool)
+_FALLBACK[0] = False
+for _e in range(1023 - 40, 1023 + 60):  # every exponent the window touches
+    _x = _e - 1023
+    _decade = len(str(2**_x)) - 1 if _x >= 0 else -len(str(2**-_x))
+    # the least M with M 2**(e - 1075) >= 10**(decade + 1)
+    _num = 10 ** max(_decade + 1, 0) << max(1075 - _e, 0)
+    _den = 10 ** max(-_decade - 1, 0) << max(_e - 1075, 0)
+    _DECADE[2 * _e] = min(-(-_num // _den), 1 << 53)
+    for _bump in (0, 1):
+        _p, _i = 16 - _decade - _bump, 2 * _e + _bump
+        if 0 <= _p <= _MAX_P:
+            _shift = 1074 - _e - _p  # keeps one bit below the point
+            _POW5_LO[_i], _POW5_HI[_i] = 5**_p & 0xFFFFFFFF, 5**_p >> 32
+            _RIGHT[_i], _LEFT[_i] = max(_shift, 0), max(-_shift, 0)
+            _EXPONENT[_i] = int.from_bytes(b"e%+03d" % (16 - _p), "little")
+            _FALLBACK[_i] = False
+# ASCII "0000".."9999" as one uint32 each
 _QUADS = np.empty((10_000, 4), dtype=np.uint8)
 for _place, _scale in enumerate((1000, 100, 10, 1)):
     _QUADS[:, _place] = np.arange(10_000, dtype=np.uint16) // _scale % 10 + ord("0")
 _QUADS = _QUADS.view(np.uint32).ravel()
-_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-99, 100)), dtype=np.uint32)
 
-# One field per value: optional '-', d.dddddddddddddddd, 'e', exponent sign,
-# two exponent digits, then ',' or '\n'. Sign bytes of non-negative values
-# are dropped when the block is joined.
-_FIELD = 24
-_TEMPLATE = np.zeros((len(_COLUMNS), _FIELD), dtype=np.uint8)
-_TEMPLATE[:, 0] = ord("-")
-_TEMPLATE[:, 2] = ord(".")
-_TEMPLATE[:, 23] = ord(",")
-_TEMPLATE[-1, 23] = ord("\n")
-_ROW_BYTES = len(_COLUMNS) * (_FIELD - 1)  # without minus signs
+# One field per value, without its sign: d.dddddddddddddddd, 'e', the
+# exponent's sign and two digits, then ',' or '\n'
+_FIELD = 23
+_ROW_BYTES = len(_COLUMNS) * _FIELD
 
 
-def _product_128(a, b):
-    """(hi, lo) uint64 words of a * b, for a < 2**53 and b < 2**63."""
-    a_lo, a_hi = a & 0xFFFFFFFF, a >> 32
-    b_lo, b_hi = b & 0xFFFFFFFF, b >> 32
-    low = a_lo * b_lo
-    middle = a_hi * b_lo + a_lo * b_hi  # < 2**53 + 2**63: no wrap
-    lo = low + (middle << 32)
-    return a_hi * b_hi + (middle >> 32) + (lo < low), lo
+class _CsvBuffers:
+    """The working memory of one ``emit_csv`` call, sized for its largest
+    chunk and reused for every chunk: the chunk's text as sign-less fields,
+    whose '.', ',' and '\\n' bytes are written here once, strided views of
+    the places of the digits and the exponent in it, and the kernel's
+    integer arrays."""
+
+    def __init__(self, rows: int):
+        values = rows * len(_COLUMNS)
+        self.text = np.zeros((values, _FIELD), dtype=np.uint8)
+        self.text[:, 1] = ord(".")
+        self.text[:, -1] = ord(",")
+        self.text[len(_COLUMNS) - 1 :: len(_COLUMNS), -1] = ord("\n")
+        self.lead = self.text[:, 0]
+        self.quads = [self._place(offset) for offset in (2, 6, 10, 14)]
+        self.exponent = self._place(18)
+        self.words = np.empty((6, values), dtype=np.uint64)
+        self.ascii = np.empty(values, dtype=np.uint32)
+        self.flags = np.empty((2, values), dtype=bool)
+
+    def _place(self, offset: int) -> NDArray[np.uint32]:
+        """The four bytes at ``offset`` of every field, as one uint32 each."""
+        return np.ndarray(len(self.text), np.uint32, self.text, offset, (_FIELD,))
 
 
-def _scaled_quotient(mantissa, exp2, p):
-    """floor and round-half-even of |v| 10**p, for |v| = mantissa 2**(exp2 - 53)."""
-    hi, lo = _product_128(mantissa, _POW5[p])
-    # q2 = floor(2 |v| 10**p): the quotient and the bit below the point
-    shift = 52 - exp2 - p
-    right = np.maximum(shift, 0).astype(np.uint64)
-    left = np.maximum(-shift, 0).astype(np.uint64)
-    q2 = ((lo >> right) | (hi << (64 - right))) << left
-    sticky = (lo & ((1 << right) - 1)) != 0
-    truncated = q2 >> 1
-    up = ((q2 & 1) != 0) & (sticky | ((truncated & 1) != 0))
-    return truncated, truncated + up
-
-
-def _digits_and_exponent(values):
-    """17-digit integer and decimal exponent of each |value|, and a mask of
-    the values outside the exact window. Zeros give (0, 0)."""
-    safe = np.abs(values)
-    zero = safe == 0.0
-    fallback = ~np.isfinite(safe)
-    safe[zero | fallback] = 1.0
-    p = 16 - np.floor(np.log10(safe)).astype(np.int64)
-    fraction, exp2 = np.frexp(safe)
-    mantissa = (fraction * 2.0**53).astype(np.uint64)
-    exp2 = exp2.astype(np.int64)
-    fallback |= (p < 0) | (p > _MAX_P)
-    p = np.clip(p, 0, _MAX_P)
-    truncated, rounded = _scaled_quotient(mantissa, exp2, p)
-    # log10 may land one decade off next to a power of ten; the truncated
-    # quotient is in [1e16, 1e17) exactly when p is right
-    off = np.flatnonzero(~fallback & ((truncated < 10**16) | (truncated >= 10**17)))
-    if off.size:
-        p[off] += np.where(truncated[off] < 10**16, 1, -1)
-        outside = (p[off] < 0) | (p[off] > _MAX_P)
-        fallback[off[outside]] = True
-        off = off[~outside]
-        rounded[off] = _scaled_quotient(mantissa[off], exp2[off], p[off])[1]
-    # no double in the window rounds up to 1e17: the 14 that carry into the
-    # next decade lie outside it, so the exponent is always 16 - p
-    rounded[zero] = 0
-    return rounded, np.where(zero, 0, 16 - p), fallback
-
-
-def _format_block(block: NDArray[np.float64]) -> bytes:
-    """CSV text of a (rows, 6) block, byte-identical to '%.16e' per value."""
+def _format_block(block: NDArray[np.float64], buffers: _CsvBuffers) -> bytes | NDArray[np.uint8]:
+    """CSV text of a (rows, 6) block, byte-identical to '%.16e' per value,
+    as a bytes-like object: without negative or '%' values, a view of
+    ``buffers.text`` that holds until the buffers' next use."""
     rows = block.shape[0]
     values = block.reshape(-1)
-    digits, exponent, fallback = _digits_and_exponent(values)
-    out = np.tile(_TEMPLATE, (rows, 1))
-    lead = digits // 10**16
-    rest = digits - lead * 10**16
-    upper = rest // 10**8
-    quads = np.empty((values.size, 4), dtype=np.uint32)
-    for column, half in ((0, upper), (2, rest - upper * 10**8)):
-        half = half.astype(np.uint32)
-        top = half // 10**4
-        quads[:, column] = _QUADS[top]
-        quads[:, column + 1] = _QUADS[half - top * 10**4]
-    out[:, 1] = lead + ord("0")
-    out[:, 3:19] = quads.view(np.uint8)
-    out[:, 19:23] = _EXPONENTS[exponent + 99].view(np.uint8).reshape(-1, 4)
-    negative = np.signbit(values)
+    bits, n = values.view(np.uint64), values.size
+    index, m, w1, w2, w3, w4 = (word[:n] for word in buffers.words)
+    flags, negative = (row[:n] for row in buffers.flags)
+    ascii, lookup = buffers.ascii[:n], index.view(np.int64)
+    np.right_shift(bits, 51, out=index)
+    np.bitwise_and(index, 0xFFE, out=index)  # 2e
+    np.bitwise_and(bits, _FRACTION, out=m)
+    np.bitwise_or(m, _HIDDEN, out=m)  # M
+    np.take(_DECADE, lookup, out=w1, mode="clip")
+    np.greater_equal(m, w1, out=flags)
+    np.add(index, flags, out=index)
+    # (hi, lo) = M 5**p from 32-bit halves
+    np.take(_POW5_LO, lookup, out=w1, mode="clip")
+    np.take(_POW5_HI, lookup, out=w2, mode="clip")
+    np.bitwise_and(m, 0xFFFFFFFF, out=w3)
+    np.right_shift(m, 32, out=m)
+    np.multiply(w3, w1, out=w4)  # low = M_lo 5**p_lo
+    np.multiply(w3, w2, out=w3)
+    np.multiply(m, w1, out=w1)
+    np.add(w1, w3, out=w1)  # middle < 2**53 + 2**63: no wrap
+    np.multiply(m, w2, out=m)
+    np.left_shift(w1, 32, out=w2)
+    np.add(w2, w4, out=w2)  # lo
+    np.less(w2, w4, out=flags)  # its carry
+    np.right_shift(w1, 32, out=w1)
+    np.add(m, w1, out=m)
+    np.add(m, flags, out=m)  # hi
+    # q2 = floor(2 |v| 10**p) and the sticky bits below it; a shift by 64 gives 0
+    np.take(_RIGHT, lookup, out=w1, mode="clip")
+    np.subtract(np.uint64(64), w1, out=w4)
+    np.left_shift(w2, w4, out=w3)
+    np.minimum(w3, 1, out=w3)  # sticky
+    np.right_shift(w2, w1, out=w2)
+    np.left_shift(m, w4, out=m)
+    np.bitwise_or(w2, m, out=w2)
+    np.take(_LEFT, lookup, out=w1, mode="clip")
+    np.left_shift(w2, w1, out=w2)
+    # round half to even: (q2 + ((q2 >> 1 | sticky) & 1)) >> 1
+    np.right_shift(w2, 1, out=w1)
+    np.bitwise_or(w1, w3, out=w1)
+    np.bitwise_and(w1, 1, out=w1)
+    np.add(w2, w1, out=w2)
+    np.right_shift(w2, 1, out=w2)  # the 17 digits
+    # the lead digit, then the next 8 and the last 8 as two quads each
+    np.floor_divide(w2, 10**8, out=w1)
+    np.multiply(w1, 10**8, out=w3)
+    np.subtract(w2, w3, out=w2)
+    np.floor_divide(w1, 10**8, out=w3)
+    np.add(w3, ord("0"), out=buffers.lead[:n], casting="unsafe")
+    np.multiply(w3, 10**8, out=w3)
+    np.subtract(w1, w3, out=w1)
+    for half, places in ((w1, buffers.quads[:2]), (w2, buffers.quads[2:])):
+        np.floor_divide(half, 10**4, out=w3)
+        np.multiply(w3, 10**4, out=w4)
+        np.subtract(half, w4, out=w4)
+        for quad, place in zip((w3, w4), places):
+            np.take(_QUADS, quad.view(np.int64), out=ascii, mode="clip")
+            np.copyto(place[:n], ascii)
+    np.take(_EXPONENT, lookup, out=ascii, mode="clip")
+    np.copyto(buffers.exponent[:n], ascii)
+    np.take(_FALLBACK, lookup, out=flags, mode="clip")
+    np.signbit(values, out=negative)
+    text = buffers.text[:n].reshape(-1)
     if negative.any():
-        keep = np.ones(out.shape, dtype=bool)
-        keep[:, 0] = negative
-        text = out[keep].tobytes()
-    else:
-        text = out[:, 1:].tobytes()
-    fallback_rows = np.flatnonzero(fallback.reshape(rows, -1).any(axis=1))
-    if not fallback_rows.size:
+        text = np.insert(text, np.flatnonzero(negative) * _FIELD, ord("-"))
+    if not flags.any():
         return text
     # splice the '%' row format in for rows holding a value outside the window
     row_ends = np.cumsum(negative.reshape(rows, -1).sum(axis=1) + _ROW_BYTES)
     row_starts = np.concatenate(([0], row_ends[:-1]))
     pieces, start = [], 0
-    for row in fallback_rows:
+    for row in np.flatnonzero(flags.reshape(rows, -1).any(axis=1)):
         pieces.append(text[start : row_starts[row]])
         pieces.append((",".join("%.16e" % v for v in block[row]) + "\n").encode("ascii"))
         start = row_ends[row]
@@ -423,12 +471,13 @@ def emit_csv(table: SweepTable, destination) -> int:
 
     def blocks():
         yield (CSV_HEADER + "\n").encode("ascii")
+        buffers = _CsvBuffers(min(count, _CHUNK_ROWS))
         for _, block in _walk(table, [(0, count)]):
-            yield _format_block(block)
+            yield _format_block(block, buffers)
 
     try:
         if hasattr(destination, "write"):
-            return sum(destination.write(block.decode("ascii")) for block in blocks())
+            return sum(destination.write(str(block, "ascii")) for block in blocks())
         return _write_atomically(
             destination,
             lambda handle: sum(handle.write(block) for block in blocks()),

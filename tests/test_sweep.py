@@ -5,6 +5,7 @@ import math
 import os
 import shutil
 import stat
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -616,6 +617,23 @@ def signed_rows(values):
     return values * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
+def alternating_chunks(seed, chunks=4, tail=777):
+    """``chunks`` walker chunks and a ``tail``-row chunk of values in
+    [1e-3, 1); the even-numbered chunks also hold negatives, signed zeros
+    and values that take the '%' format."""
+    size = sweep._CHUNK_ROWS
+    rng = np.random.default_rng(seed)
+    matrix = rng.uniform(1e-3, 1.0, (chunks * size + tail, 6))
+    outside = [math.nan, -math.inf, 5e-324, 1e-300, 3e20, 1e-12]
+    for start in range(0, len(matrix), 2 * size):
+        rows = matrix[start : start + size]
+        rows[rng.random(rows.shape) < 0.3] *= -1.0
+        rows[1::37, 2], rows[2::41, 3] = 0.0, -0.0
+        for k, row in enumerate(range(3, len(rows), 113)):
+            rows[row, k % 6] = outside[k % len(outside)]
+    return matrix
+
+
 def columns_of(table):
     return np.column_stack(
         [table.x, table.p_exact, table.p_improved, table.p_traditional,
@@ -703,6 +721,56 @@ class TestCsvKernel:
         assert_matches_reference([[0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-1074]])
         assert_matches_reference([[math.nan, 0.0, 0.0, 0.0, 0.0, 0.0]])
 
+    def test_buffers_reused_across_chunks_and_owned_by_the_call(self):
+        # one emit_csv formats every chunk in the same buffers: chunks with
+        # negatives, signed zeros and '%' rows alternate with clean positive
+        # chunks, and a short chunk ends the table
+        assert_matches_reference(alternating_chunks(seed=14))
+        # concurrent calls, more threads than cores, each with its own table
+        tables = [alternating_chunks(seed) for seed in range(4)]
+        texts = [None] * len(tables)
+
+        def write(k):
+            stream = io.StringIO()
+            emit_csv(ColumnTable(tables[k]), stream)
+            texts[k] = stream.getvalue()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(k,)) for k in range(len(tables))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for table, text in zip(tables, texts):
+            assert text == CSV_HEADER + "\n" + reference_csv_rows(table.tolist())
+
+    @pytest.mark.parametrize("chunk, old_peak_kib", [("sweep", 1562.1), ("mixed", 2245.8)])
+    def test_one_chunk_peaks_below_the_old_kernel(self, chunk, old_peak_kib):
+        # tracemalloc peaks of these 2,048-row chunks in the kernel that
+        # built every array per chunk: 1,562.1 KiB on the sweep chunk and
+        # 2,245.8 KiB on the one with negatives and '%' rows (numpy 2.4.6).
+        # The reused buffers count here, so they cannot trade latency for
+        # resident memory
+        size = sweep._CHUNK_ROWS
+        if chunk == "sweep":
+            spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-6, samples=50_000)
+            block = run_sweep(spec, CONFIG).rows(size, 2 * size)
+        else:
+            block = alternating_chunks(seed=5, chunks=1, tail=0)
+        sweep._format_block(block, sweep._CsvBuffers(size))  # warm up
+        tracemalloc.start()
+        try:
+            sweep._format_block(block, sweep._CsvBuffers(size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= old_peak_kib * 1024
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -737,11 +805,11 @@ class TestAtomicCsvFile:
         format_block = sweep._format_block
         calls = []
 
-        def failing_second_block(block):
+        def failing_second_block(block, buffers):
             calls.append(len(block))
             if len(calls) == 2:
                 raise OSError(28, "No space left on device")
-            return format_block(block)
+            return format_block(block, buffers)
 
         monkeypatch.setattr(sweep, "_format_block", failing_second_block)
         with pytest.raises(IoFailure):
