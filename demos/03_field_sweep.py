@@ -33,8 +33,8 @@ for center in (1e-4, 1.29e-3, 1.21e-2, 0.036):
         stop=1.02 * center,
         samples=801,
     )
-    table = run_sweep(spec, HyperfineConfig(b_field=center))
     config = HyperfineConfig(b_field=center)
+    table = run_sweep(spec, config)
     u = (config.coupling_ev / (2 * config.constants.w_ev)) ** 2
     name = OUT / f"field_window_{center:g}T.csv"
     emit_csv(table, name)

@@ -317,12 +317,11 @@ def _safe_time(rate: float, floor: float, threshold: float) -> float:
     """A |t| up to which sin(min(rate |t|, pi/2)) + floor <= threshold
     holds for certain, by the rounding argument of ``_deviation_envelope``:
     inf when no computed deviation can exceed the threshold, -inf when not
-    even at t = 0."""
+    even at t = 0. ``floor`` comes from ``_deviation_envelope``, so it is at
+    least _FLOOR_EPS eps and the margin below the cap is < 1."""
     if threshold >= _DEVIATION_CAP:
         return math.inf
     margin = math.nextafter(threshold - floor, 0.0)
-    if margin >= 1.0:
-        return math.inf
     if not margin > 0.0:
         return -math.inf
     return math.asin(margin) / rate * (1.0 - (_ASIN_ULPS + 4) * _EPS) - 2.0**-1074

@@ -122,7 +122,7 @@ class RedividedProblem:
     def dim(self) -> int:
         return self.d.shape[0]
 
-    @property
+    @cached_property
     def degeneracy_tol(self) -> float:
         return DEGENERACY_RTOL * float(np.max(np.abs(self.d), initial=0.0))
 
@@ -161,10 +161,9 @@ def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     resolvent = np.divide(1.0, gap, out=np.zeros_like(gap), where=~masked)
     np.fill_diagonal(masked, False)  # b = beta leaves every sum; it is no degeneracy
 
-    crossed = g1 != 0.0
+    crossed = g1 != 0.0  # symmetric: g1 is exactly Hermitian
     if order >= 4:
-        two_hops = crossed @ crossed
-        crossed |= two_hops & two_hops.T
+        crossed |= crossed @ crossed
     offending = np.argwhere((masked & crossed)[levels])
     if offending.size:
         i, other = offending[0]

@@ -15,20 +15,11 @@ the time sweep that the certified deviation envelope of
 ``hyperfine._deviation_envelope`` proves cannot cross, as inverted by
 ``hyperfine._safe_time``, and stops at the first crossing.
 
-CSV text is the bytes of ``'%.16e'`` per value, produced by a numpy kernel
-over each chunk. Each ``emit_csv`` call allocates the kernel's memory once
-and reuses it for every chunk: one byte buffer of sign-less fixed-width
-fields, whose '.', ',' and newline bytes are written once, and a few
-integer arrays. For each value in the window 1e-11 <= |v| < 1e17 (and
-zeros) the kernel reads the binary mantissa and exponent from the value's
-bits, computes the 17 decimal digits exactly with integer arithmetic and
-round-half-to-even, and writes them into the buffer through strided views.
-A chunk without negative values is written straight from the buffer;
-otherwise a '-' byte is inserted before each negative field. A row holding
-any other value (nan, inf, subnormal, tiny or huge) is formatted with
-``'%.16e'`` itself. Files are written to a temporary file beside the
-destination and moved into place, once the directory has room for the
-smallest CSV the table could give.
+CSV text is the bytes of ``'%.16e'`` per value, computed chunk by chunk
+with exact integer arithmetic in memory each ``emit_csv`` call allocates
+once; the comment above the kernel's tables states its rules. Files are
+written to a temporary file beside the destination and moved into place,
+once the directory has room for the smallest CSV the table could give.
 """
 
 from __future__ import annotations
@@ -268,18 +259,22 @@ def _aliasing_phase(spec: SweepSpec, constants) -> float | None:
 #
 # floor(log10|v|) is the decade of 2**(e - 1023), plus one where M reaches
 # _DECADE[2e], the least mantissa whose value reaches the next power of ten.
-# So every per-value constant sits in a table at index 2e + that bump. A
-# zero (e = 0, M = 2**52) reads 5**p = 0 and exponent e+00. A subnormal
-# (e = 0, M > 2**52), nan, inf and any value outside the window are flagged
-# in _FALLBACK and take the '%' format row by row.
+# So every per-value constant sits in a table at index 2e + that bump:
+# _POW5_LO/_POW5_HI hold the multiplier 5**p, shifted left where the product
+# must move up to keep one bit below the point, in 32-bit halves; _RIGHT
+# holds the right shift otherwise; _EXPONENT holds the exponent text. A left
+# shift occurs only at e - 1023 in 51..56, where p <= 1, so the shifted
+# multiplier keeps <= 6 bits and its product with M stays in the low word.
+# A zero (e = 0, M = 2**52) reads multiplier 0 and exponent e+00. An
+# exponent word of 0 marks a value outside the window, a subnormal (e = 0,
+# M > 2**52), nan or inf: its row takes the '%' format.
 _MAX_P = 27
 _FRACTION, _HIDDEN = (1 << 52) - 1, 1 << 52
 _DECADE = np.full(4096, 1 << 53, dtype=np.uint64)  # 2**53: no M reaches it
 _DECADE[0] = _HIDDEN + 1
-_POW5_LO, _POW5_HI, _RIGHT, _LEFT = np.zeros((4, 4096), dtype=np.uint64)
-_EXPONENT = np.frombuffer(b"e+00" * 4096, dtype=np.uint32).copy()
-_FALLBACK = np.ones(4096, dtype=bool)
-_FALLBACK[0] = False
+_POW5_LO, _POW5_HI, _RIGHT = np.zeros((3, 4096), dtype=np.uint64)
+_EXPONENT = np.zeros(4096, dtype=np.uint32)
+_EXPONENT[0] = int.from_bytes(b"e+00", "little")
 for _e in range(1023 - 40, 1023 + 60):  # every exponent the window touches
     _x = _e - 1023
     _decade = len(str(2**_x)) - 1 if _x >= 0 else -len(str(2**-_x))
@@ -291,10 +286,10 @@ for _e in range(1023 - 40, 1023 + 60):  # every exponent the window touches
         _p, _i = 16 - _decade - _bump, 2 * _e + _bump
         if 0 <= _p <= _MAX_P:
             _shift = 1074 - _e - _p  # keeps one bit below the point
-            _POW5_LO[_i], _POW5_HI[_i] = 5**_p & 0xFFFFFFFF, 5**_p >> 32
-            _RIGHT[_i], _LEFT[_i] = max(_shift, 0), max(-_shift, 0)
+            _pow5 = 5**_p << max(-_shift, 0)
+            _POW5_LO[_i], _POW5_HI[_i] = _pow5 & 0xFFFFFFFF, _pow5 >> 32
+            _RIGHT[_i] = max(_shift, 0)
             _EXPONENT[_i] = int.from_bytes(b"e%+03d" % (16 - _p), "little")
-            _FALLBACK[_i] = False
 # ASCII "0000".."9999" as one uint32 each
 _QUADS = np.empty((10_000, 4), dtype=np.uint8)
 for _place, _scale in enumerate((1000, 100, 10, 1)):
@@ -308,11 +303,9 @@ _ROW_BYTES = len(_COLUMNS) * _FIELD
 
 
 class _CsvBuffers:
-    """The working memory of one ``emit_csv`` call, sized for its largest
-    chunk and reused for every chunk: the chunk's text as sign-less fields,
-    whose '.', ',' and '\\n' bytes are written here once, strided views of
-    the places of the digits and the exponent in it, and the kernel's
-    integer arrays."""
+    """The working memory of one ``emit_csv`` call, reused for every chunk:
+    sign-less text fields with '.', ',' and '\\n' written once, and the
+    kernel's integer arrays."""
 
     def __init__(self, rows: int):
         values = rows * len(_COLUMNS)
@@ -333,9 +326,9 @@ class _CsvBuffers:
 
 
 def _format_block(block: NDArray[np.float64], buffers: _CsvBuffers) -> bytes | NDArray[np.uint8]:
-    """CSV text of a (rows, 6) block, byte-identical to '%.16e' per value,
-    as a bytes-like object: without negative or '%' values, a view of
-    ``buffers.text`` that holds until the buffers' next use."""
+    """CSV text of a (rows, 6) block, byte-identical to '%.16e' per value;
+    a view of ``buffers.text``, valid until their next use, if it needs no
+    sign or '%' row."""
     rows = block.shape[0]
     values = block.reshape(-1)
     bits, n = values.view(np.uint64), values.size
@@ -373,8 +366,6 @@ def _format_block(block: NDArray[np.float64], buffers: _CsvBuffers) -> bytes | N
     np.right_shift(w2, w1, out=w2)
     np.left_shift(m, w4, out=m)
     np.bitwise_or(w2, m, out=w2)
-    np.take(_LEFT, lookup, out=w1, mode="clip")
-    np.left_shift(w2, w1, out=w2)
     # round half to even: (q2 + ((q2 >> 1 | sticky) & 1)) >> 1
     np.right_shift(w2, 1, out=w1)
     np.bitwise_or(w1, w3, out=w1)
@@ -398,7 +389,7 @@ def _format_block(block: NDArray[np.float64], buffers: _CsvBuffers) -> bytes | N
             np.copyto(place[:n], ascii)
     np.take(_EXPONENT, lookup, out=ascii, mode="clip")
     np.copyto(buffers.exponent[:n], ascii)
-    np.take(_FALLBACK, lookup, out=flags, mode="clip")
+    np.equal(ascii, np.uint32(0), out=flags)
     np.signbit(values, out=negative)
     text = buffers.text[:n].reshape(-1)
     if negative.any():

@@ -8,6 +8,7 @@ import stat
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -424,6 +425,8 @@ class TestPrunedDivergence:
         # the cap on computed deviations: 1 + (2 sin ulps + 2) eps
         cap = hyperfine._DEVIATION_CAP
         assert cap == 1.0 + 10 * eps
+        # every floor is >= 24 eps, so a threshold below the cap leaves a margin < 1
+        assert cap < 1.0 + hyperfine._FLOOR_EPS * hyperfine._EPS
         # the widest margin below the cap, at B = 0 (floor 24 eps): 1 - 15 eps
         # rounds down to 1 - 15.5 eps, where asin's slope is about 1e7
         zero_rates, zero_floor = hyperfine._deviation_envelope(*constants_and_field(0.0))
@@ -657,6 +660,25 @@ class TestCsvKernel:
     )
     def test_any_bit_patterns(self, rows):
         assert_matches_reference(np.array(rows, dtype=np.uint64).view(np.float64))
+
+    def test_tables_mark_the_window_and_bound_the_product(self):
+        # index 2e + bump holds the constants of decade floor(log10 2**(e - 1023))
+        # + bump, in the window when 0 <= p = 16 - decade - bump <= 27
+        in_window = {0}
+        for e in range(1, 2047):
+            decade = Decimal(math.ldexp(1.0, e - 1023)).adjusted()
+            in_window |= {2 * e + bump for bump in (0, 1) if 0 <= 16 - decade - bump <= 27}
+        assert set(np.flatnonzero(sweep._EXPONENT)) == in_window
+        assert sweep._EXPONENT[0] == int.from_bytes(b"e+00", "little")
+        # the middle sum M_hi pow5_lo + M_lo pow5_hi < 2**53 + 2**63 cannot
+        # wrap, the right shift stays within one word, and the shifted
+        # product 2 |v| 10**p fits the low word
+        rows = np.flatnonzero(sweep._EXPONENT)
+        assert np.all(sweep._POW5_HI[rows] < 2**31)
+        assert np.all(sweep._RIGHT[rows] <= 63)
+        for i in rows:
+            multiplier = int(sweep._POW5_HI[i]) << 32 | int(sweep._POW5_LO[i])
+            assert (2**53 - 1) * multiplier >> int(sweep._RIGHT[i]) < 2**62
 
     def test_random_values_around_the_window(self):
         # binary exponents spanning 1e-13 .. 1e19, so both window edges and
