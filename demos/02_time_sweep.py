@@ -11,11 +11,11 @@ import pathlib
 import numpy as np
 
 from perturba import (
-    HyperfineConfig,
+    PhysicalConstants,
     SweepSpec,
+    SweepTable,
     angular_rates,
     emit_csv,
-    run_sweep,
 )
 from perturba.sweep import first_crossings
 
@@ -23,8 +23,8 @@ B_FIELD = 1e-3
 OUT = pathlib.Path("demo_output")
 OUT.mkdir(exist_ok=True)
 
-config = HyperfineConfig(b_field=B_FIELD)
-rate_exact, rate_improved, rate_traditional = angular_rates(config.constants, B_FIELD)
+constants = PhysicalConstants()
+rate_exact, rate_improved, rate_traditional = angular_rates(constants, B_FIELD)
 print(f"angular rates at B = {B_FIELD} T (rad/s):")
 print(f"  exact       {rate_exact:.11e}")
 print(f"  improved    {rate_improved:.11e}")
@@ -44,7 +44,7 @@ for center in (1e-7, 1.0, 6.0, 27.7):
         stop=center + 1.5 * period,
         samples=2001,
     )
-    table = run_sweep(spec, config)
+    table = SweepTable(spec, constants)
     name = OUT / f"time_window_{center:g}s.csv"
     emit_csv(table, name)
     dev_improved, dev_traditional = table.rows(0, len(table))[:, 4:].T
@@ -56,7 +56,7 @@ print("radian within ~1e-6 s, while the improved curve holds on for tens")
 print("of seconds (slip ~0.0164 rad/s).")
 
 spec = SweepSpec(mode="time", fixed_value=B_FIELD, start=0.0, stop=30.0, samples=3_000_000)
-table = run_sweep(spec, config)  # a lazy 3M-row table: only the grid is held
+table = SweepTable(spec, constants)  # a lazy 3M-row table: only the grid is held
 for threshold in (0.1, 0.3, 0.5):
     t_trad, t_impr = first_crossings(table, threshold)
     print(f"threshold {threshold}: first grid crossing traditional = {t_trad:.3e} s,"

@@ -14,9 +14,9 @@ import numpy as np
 from perturba import (
     HyperfineConfig,
     SweepSpec,
+    SweepTable,
     emit_csv,
     normalized_probabilities,
-    run_sweep,
 )
 
 T_FIXED = 1.0
@@ -34,7 +34,7 @@ for center in (1e-4, 1.29e-3, 1.21e-2, 0.036):
         samples=801,
     )
     config = HyperfineConfig(b_field=center)
-    table = run_sweep(spec, config)
+    table = SweepTable(spec, config.constants)
     u = (config.coupling_ev / (2 * config.constants.w_ev)) ** 2
     name = OUT / f"field_window_{center:g}T.csv"
     emit_csv(table, name)

@@ -50,7 +50,6 @@ from .sweep import (
     SweepTable,
     divergence_report,
     emit_csv,
-    run_sweep,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +86,6 @@ __all__ = [
     "pauli_operators",
     "redivide",
     "require_hermitian",
-    "run_sweep",
     "transition_probability_exact",
     "transition_probability_improved",
     "transition_probability_traditional",

@@ -22,8 +22,8 @@ import os
 import sys
 from dataclasses import fields
 
-from .hyperfine import HyperfineConfig, PhysicalConstants
-from .sweep import SweepSpec, emit_csv, first_crossings, run_sweep
+from .hyperfine import PhysicalConstants
+from .sweep import SweepSpec, SweepTable, emit_csv, first_crossings
 from .sweep import _MODES, _SCALES, _aliasing_phase
 
 CONFIG_ENV_VAR = "PERTURBA_CONFIG"
@@ -129,12 +129,9 @@ def main(argv=None) -> int:
             samples=args.samples,
             scale=args.scale,
         )
-        # run_sweep reads only the constants; the spec holds B or t fixed
-        config = HyperfineConfig(b_field=0.0, constants=constants)
-
-        table = run_sweep(spec, config)
+        table = SweepTable(spec, constants)
         crossings = None if args.threshold is None else first_crossings(table, args.threshold)
-        phase = _aliasing_phase(spec, constants)
+        phase = _aliasing_phase(table)
         if phase is not None:
             print(
                 f"perturba: warning: one grid step advances the fastest curve by "

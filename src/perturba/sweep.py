@@ -1,8 +1,8 @@
 """Time and field sweeps of the three probability curves, CSV output.
 
-A ``SweepTable`` is a lazy view of one sweep, down to its grid: a
-``_Grid`` computes any slice of the abscissas on demand, bit-equal to
-numpy's ``linspace`` or ``geomspace``, and is the one place the grid's
+``SweepTable(spec, constants)`` is a lazy view of one sweep, down to its
+grid: a ``_Grid`` computes any slice of the abscissas on demand, bit-equal
+to numpy's ``linspace`` or ``geomspace``, and is the one place the grid's
 geometry is written down. One walker evaluates its rows, the three curves
 and their absolute deviations from the exact one, ``_CHUNK_ROWS`` at a
 time for both ``emit_csv`` and ``first_crossings``, so neither holds more
@@ -138,31 +138,35 @@ class _Grid:
 
 
 class SweepTable:
-    """One sweep as a lazy view: the grid ``x`` and the curve parameters.
+    """One sweep as a lazy view: its spec, its constants and its grid ``x``.
 
     ``x`` is a lazy grid that computes the abscissas a slice at a time;
     ``table.x[:]`` gives them as one array. ``rows(lo, hi)`` evaluates rows
     lo..hi into a (hi - lo, 6) block in CSV column order; a row depends on
-    its grid value alone, so slices agree."""
+    its grid value alone, so slices agree. A spec whose phases can leave
+    float64 raises InvalidSweepSpec: the largest |rate| over its field range
+    times the largest |t| is not finite. That |rate| is at most the largest
+    at the ends of the range or 3W / hbar, so the ends settle it."""
 
-    def __init__(self, x: _Grid, mode: str, fixed_value: float, constants: PhysicalConstants):
-        self.x, self.mode, self.fixed_value, self.constants = x, mode, fixed_value, constants
+    def __init__(self, spec: SweepSpec, constants: PhysicalConstants = PhysicalConstants()):
+        self.spec, self.constants, self.x = spec, constants, _Grid(spec)
+        held, ends = (spec.fixed_value,), (spec.start, spec.stop)
+        b_fields, times = (held, ends) if spec.mode == "time" else (ends, held)
+        t = max(map(abs, times))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = [abs(rate) for b in b_fields for rate in angular_rates(constants, b)]
+            bad = [rate for rate in rates if not math.isfinite(rate * t)]
+        if bad:
+            raise InvalidSweepSpec(f"phases leave float64 at {bad[0]:.3g} rad/s, |t| = {t:.3g} s")
 
     def __len__(self) -> int:
         return len(self.x)
 
     def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
-        k, x = self.constants, self.x[lo:hi]
-        b_field, t = (self.fixed_value, x) if self.mode == "time" else (x, self.fixed_value)
+        k, x, fixed = self.constants, self.x[lo:hi], self.spec.fixed_value
+        b_field, t = (fixed, x) if self.spec.mode == "time" else (x, fixed)
         curves = _normalized_triple(k.w_ev, k.mu_e_ev_per_tesla * b_field, k.hbar_evs, t)
         return np.column_stack((x, *curves, *(np.abs(p - curves[0]) for p in curves[1:])))
-
-
-def run_sweep(spec: SweepSpec, config: HyperfineConfig) -> SweepTable:
-    """The sweep of ``spec`` as a lazy table; nothing is computed here.
-    Only ``config.constants`` is read: a time sweep holds B at
-    ``spec.fixed_value``, not at ``config.b_field``. Row count == samples."""
-    return SweepTable(_Grid(spec), spec.mode, spec.fixed_value, config.constants)
 
 
 def _walk(table, ranges):
@@ -182,14 +186,14 @@ def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
     the rows no open curve can cross, then resumes past a crossing's chunk
     over the other curve's rows alone.
     """
-    if table.mode != "time":
+    if table.spec.mode != "time":
         raise InvalidSweepSpec(
-            f"a divergence threshold needs a time sweep, got mode {table.mode!r}"
+            f"a divergence threshold needs a time sweep, got mode {table.spec.mode!r}"
         )
     if not threshold > 0.0:
         raise InvalidSweepSpec(f"threshold must be positive, got {threshold}")
     k = table.constants
-    x_ev = k.mu_e_ev_per_tesla * table.fixed_value
+    x_ev = k.mu_e_ev_per_tesla * table.spec.fixed_value
     rates, floor = _deviation_envelope(k.w_ev, x_ev, k.hbar_evs)
     safe = [_safe_time(rate, floor, threshold) for rate in rates]
     crossings = [math.inf, math.inf]
@@ -214,9 +218,9 @@ def divergence_report(
     spec: SweepSpec, config: HyperfineConfig, threshold: float
 ) -> tuple[float, float]:
     """(t_traditional, t_improved): where each curve first strays from the
-    exact one by more than ``threshold`` on the grid of a time sweep;
-    ``first_crossings`` of the lazy table, which validates the query."""
-    return first_crossings(run_sweep(spec, config), threshold)
+    exact one by more than ``threshold`` on the grid of a time sweep; the
+    ``first_crossings`` of its table under ``config.constants`` alone."""
+    return first_crossings(SweepTable(spec, config.constants), threshold)
 
 
 def _unsafe_rows(grid, t_safe: float) -> list[tuple[int, int]]:
@@ -234,16 +238,16 @@ def _unsafe_rows(grid, t_safe: float) -> list[tuple[int, int]]:
     return [(0, lo), (hi, len(grid))]
 
 
-def _aliasing_phase(spec: SweepSpec, constants) -> float | None:
+def _aliasing_phase(table: SweepTable) -> float | None:
     """The phase (rad) the fastest curve sin^2(rate t) of a time sweep
     advances over its widest grid step, the first or the last, when that
     exceeds pi/2 and so the grid holds fewer than two samples per period;
     None otherwise."""
-    if spec.mode != "time":
+    if table.spec.mode != "time":
         return None
-    grid = _Grid(spec)
+    grid, fixed = table.x, table.spec.fixed_value
     step = max(grid[1] - grid[0], grid[-1] - grid[-2])
-    phase = max(abs(rate) for rate in angular_rates(constants, spec.fixed_value)) * step
+    phase = max(abs(rate) for rate in angular_rates(table.constants, fixed)) * step
     return phase if phase > math.pi / 2 else None
 
 

@@ -147,8 +147,8 @@ class ColumnTable:
 
 def run_sweep(spec, config):
     """The whole sweep table at once, every row evaluated in one call of
-    the curve kernel, as ``sweep.run_sweep`` built it before it walked
-    the grid in chunks, on numpy's own grid."""
+    the curve kernel, as ``SweepTable`` was built before it walked the
+    grid in chunks, on numpy's own grid."""
     from perturba import hyperfine
 
     space = np.linspace if spec.scale == "linear" else np.geomspace

@@ -2,12 +2,16 @@
 
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
 
-from perturba import HyperfineConfig, PhysicalConstants, SweepSpec, cli, emit_csv, run_sweep
+import perturba
+from perturba import HyperfineConfig, PhysicalConstants, SweepSpec, SweepTable, cli, emit_csv
 from perturba.cli import CONFIG_ENV_VAR, main, parse_config_text
 
 BASE_ARGS = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1e-8", "--samples", "64"]
@@ -194,16 +198,37 @@ class TestMain:
         assert main(["--config", str(tmp_path / "absent.cfg")] + BASE_ARGS) == 2
 
     def test_oversized_sweep_exits_one(self, monkeypatch, capsys):
-        def out_of_memory(spec, config):
+        def out_of_memory(spec, constants):
             raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
 
-        monkeypatch.setattr(cli, "run_sweep", out_of_memory)
+        monkeypatch.setattr(cli, "SweepTable", out_of_memory)
         args = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1",
                 "--samples", "1000000000000"]
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("perturba: error: ") and "7.28 TiB" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # x**4 overflows a Python float in the crossing envelope
+            ["--mode", "time", "--fixed", "1e82", "--start", "0", "--stop", "1e-9",
+             "--samples", "3", "--threshold", "0.5"],
+            # the improved gap is -inf, so p_improved would be nan
+            ["--mode", "time", "--fixed", "1e81", "--start", "0", "--stop", "1e-9",
+             "--samples", "3", "--threshold", "0.5"],
+            # 4.5e9 rad/s for 1e300 s: every curve would be nan
+            ["--mode", "field", "--fixed", "1e300", "--start", "0", "--stop", "1e-3",
+             "--samples", "3"],
+        ],
+    )
+    def test_overflowing_phase_exits_one(self, capsys, args):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("perturba: error: phases leave float64")
 
     def test_csv_that_cannot_fit_exits_two(self, tmp_path, monkeypatch, capsys):
         # 100,000 rows need at least 2.4 MB; the directory has 1 MB free
@@ -228,9 +253,8 @@ class TestAliasingWarning:
     sin^2(rate t) gets one warning line on stderr, and nothing else changes."""
 
     def test_criterion_7_grid_warns(self, monkeypatch, capsys):
-        # rate dt = 4.46e9 rad/s * 1e-5 s; the 3M-row grid and CSV are stubbed
-        small = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=2)
-        monkeypatch.setattr(cli, "run_sweep", lambda spec, config: run_sweep(small, config))
+        # rate dt = 4.46e9 rad/s * 1e-5 s; the CSV is stubbed, and the lazy
+        # 3M-row table evaluates no row without it
         monkeypatch.setattr(cli, "emit_csv", lambda table, destination: 0)
         args = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "30",
                 "--samples", "3000000"]
@@ -246,7 +270,7 @@ class TestAliasingWarning:
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3001)
         config = HyperfineConfig(b_field=1e-3)
         expected = tmp_path / "expected.csv"
-        emit_csv(run_sweep(spec, config), expected)
+        emit_csv(SweepTable(spec), expected)
         t_traditional, t_improved = oracles.first_crossings(oracles.run_sweep(spec, config), 0.5)
         out = tmp_path / "sweep.csv"
         args = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "30",
@@ -278,3 +302,29 @@ class TestAliasingWarning:
                 "--samples", "64", "--scale", scale, "--out", str(out)]
         assert main(args) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestModuleEntryPoint:
+    """``python -m perturba.cli`` runs ``main`` and exits with its code."""
+
+    def run(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(Path(perturba.__file__).parents[1]))
+        env.pop(CONFIG_ENV_VAR, None)
+        return subprocess.run([sys.executable, "-m", "perturba.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_time_sweep_exits_zero(self):
+        result = self.run("--mode", "time", "--fixed", "1e-3", "--start", "0",
+                          "--stop", "1e-9", "--samples", "4")
+        assert result.returncode == 0
+        assert len(result.stdout.splitlines()) == 5
+        assert result.stderr == ""
+
+    def test_overflowing_phase_exits_one(self):
+        result = self.run("--mode", "time", "--fixed", "1e82", "--start", "0",
+                          "--stop", "1e-9", "--samples", "3", "--threshold", "0.5")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("perturba: error: ")
+        assert "Traceback" not in result.stderr

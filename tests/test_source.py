@@ -86,6 +86,26 @@ def test_only_the_lazy_grid_computes_grids():
     assert SOURCES and not found, found
 
 
+def test_only_the_sweep_table_builds_a_grid():
+    # a table holds its spec's one grid; no other caller builds a second
+    def calls(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from calls(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "_Grid":
+                yield owner
+            yield from calls(child, owner)
+
+    builders = [
+        (path.stem, owner)
+        for path in SOURCES
+        for owner in calls(ast.parse(path.read_text(), filename=str(path)), None)
+    ]
+    assert builders == [("sweep", "SweepTable.__init__")]
+
+
 def test_private_imports_cross_only_where_listed():
     # a private name imported from a sibling module is a rule its owner has
     # not stated publicly; these are the only such edges, kept on purpose

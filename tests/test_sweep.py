@@ -25,8 +25,8 @@ from perturba import (
     SweepSpec,
     divergence_report,
     emit_csv,
+    SweepTable,
     hyperfine,
-    run_sweep,
     sweep,
 )
 from perturba.sweep import CSV_HEADER, first_crossings
@@ -163,7 +163,7 @@ def whole(table):
 class TestRunSweep:
     def test_row_count_and_fields(self):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-8, samples=11)
-        table = run_sweep(spec, CONFIG)
+        table = SweepTable(spec)
         assert len(table) == 11
         x, p_exact, p_improved, p_traditional, dev_improved, dev_traditional = whole(table).T
         for column in (x, p_exact, p_improved, p_traditional, dev_improved, dev_traditional):
@@ -174,22 +174,22 @@ class TestRunSweep:
 
     def test_deviations_match_columns_exactly(self):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1.0, samples=1000)
-        block = whole(run_sweep(spec, CONFIG))
+        block = whole(SweepTable(spec))
         np.testing.assert_array_equal(block[:, 4], np.abs(block[:, 2] - block[:, 1]))
         np.testing.assert_array_equal(block[:, 5], np.abs(block[:, 3] - block[:, 1]))
 
     def test_deterministic_output(self):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=2.0, samples=500)
         first, second = io.StringIO(), io.StringIO()
-        emit_csv(run_sweep(spec, CONFIG), first)
-        emit_csv(run_sweep(spec, CONFIG), second)
+        emit_csv(SweepTable(spec), first)
+        emit_csv(SweepTable(spec), second)
         assert first.getvalue() == second.getvalue()
 
     def test_window_near_edge_of_validity(self):
         # around t = 1 s the traditional curve has slipped ~0.87 rad of
         # phase against the exact one while the improved curve has slipped
         # only ~0.016 rad; measured window maxima are 0.82 and 0.0167
-        dev_improved, dev_traditional = whole(run_sweep(window_spec(1.0), CONFIG))[:, 4:].T
+        dev_improved, dev_traditional = whole(SweepTable(window_spec(1.0)))[:, 4:].T
         assert dev_traditional.max() > 1e-2
         assert dev_improved.max() < 2e-2
         assert dev_improved.max() < dev_traditional.max() / 10
@@ -198,7 +198,7 @@ class TestRunSweep:
         # at t ~ 1e-7 s both perturbative curves still hug the exact one;
         # the improved deviation is bounded by the amplitude mismatch
         # u/(1+u) ~ 3.9e-4, the traditional one by its 0.087 rad slip
-        dev_improved, dev_traditional = whole(run_sweep(window_spec(1e-7), CONFIG))[:, 4:].T
+        dev_improved, dev_traditional = whole(SweepTable(window_spec(1e-7)))[:, 4:].T
         assert dev_improved.max() <= 5e-4
         assert dev_traditional.max() <= 0.1
 
@@ -206,10 +206,33 @@ class TestRunSweep:
         spec = SweepSpec(
             mode="field", fixed_value=1.0, start=0.9e-4, stop=1.1e-4, samples=2001
         )
-        block = whole(run_sweep(spec, CONFIG))
+        block = whole(SweepTable(spec))
         assert np.max(np.abs(block[:, 1] - block[:, 2])) <= 1e-3
         # traditional curve is flat in B
         assert np.all(block[:, 3] == block[0, 3])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # 4.46e9 rad/s out to 1e300 s
+            SweepSpec(mode="time", fixed_value=1e-3, start=-1e300, stop=0.0, samples=3),
+            # the improved gap is -inf: x**4 overflows
+            SweepSpec(mode="time", fixed_value=1e81, start=0.0, stop=1e-9, samples=3),
+            # at B = 1e157 T the improved rate is nan while the exact one,
+            # 8.8e167 rad/s, stays finite out to 1e-9 s
+            SweepSpec(mode="field", fixed_value=1e-9, start=0.0, stop=1e157, samples=3),
+            # an infinite rate at t = 0 is nan all the same
+            SweepSpec(mode="field", fixed_value=0.0, start=0.0, stop=1e157, samples=3),
+        ],
+    )
+    def test_phases_beyond_float64_are_rejected(self, spec):
+        with pytest.raises(InvalidSweepSpec, match="phases leave float64"):
+            SweepTable(spec)
+
+    def test_phases_near_the_float64_limit_are_kept(self):
+        # 4.46e9 rad/s out to 1e298 s stays below 1.8e308 rad
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=-1e298, stop=0.0, samples=3)
+        assert np.isfinite(whole(SweepTable(spec))).all()
 
 
 class TestDivergenceReport:
@@ -498,14 +521,14 @@ class TestWalker:
                 assert tiny[edges].any(axis=1).all()
             expected = (CSV_HEADER + "\n" + reference_csv_rows(full.tolist())).encode("ascii")
             target = tmp_path / "sweep.csv"
-            assert emit_csv(run_sweep(spec, CONFIG), target) == len(expected)
+            assert emit_csv(SweepTable(spec), target) == len(expected)
             assert target.read_bytes() == expected
 
     @settings(max_examples=200, deadline=None)
     @given(time_specs(), st.floats(0.0, 1.5, exclude_min=True))
     def test_first_crossings_equal_oracle_on_time_sweeps(self, spec, threshold):
         table = oracles.run_sweep(spec, CONFIG)
-        assert first_crossings(run_sweep(spec, CONFIG), threshold) == (
+        assert first_crossings(SweepTable(spec), threshold) == (
             oracles.first_crossings(table, threshold)
         )
 
@@ -513,11 +536,11 @@ class TestWalker:
         rows = counted_rows(monkeypatch)
         field = SweepSpec(mode="field", fixed_value=1.0, start=0.0, stop=1e-2, samples=10_000)
         with pytest.raises(InvalidSweepSpec, match="^a divergence threshold needs a time sweep"):
-            first_crossings(run_sweep(field, CONFIG), 0.5)
+            first_crossings(SweepTable(field), 0.5)
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
         for threshold in (0.0, -0.5, math.nan):
             with pytest.raises(InvalidSweepSpec, match="^threshold must be positive, got"):
-                first_crossings(run_sweep(spec, CONFIG), threshold)
+                first_crossings(SweepTable(spec), threshold)
         assert rows == []
 
     def test_time_sweep_walks_each_row_once(self, monkeypatch):
@@ -534,7 +557,7 @@ class TestWalker:
             p_exact, *others = hyperfine._normalized_triple(*constants_and_field(b_field), head)
             expected = [head[np.argmax(np.abs(p - p_exact) > threshold)] for p in others[::-1]]
             rows.clear()
-            assert list(first_crossings(run_sweep(spec, CONFIG), threshold)) == expected
+            assert list(first_crossings(SweepTable(spec), threshold)) == expected
             assert np.searchsorted(t, expected).tolist() == crossing_rows
             assert rows == [sweep._CHUNK_ROWS] * chunks
 
@@ -543,7 +566,7 @@ class TestWalker:
             spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-5, samples=samples)
             tracemalloc.start()
             try:
-                emit_csv(run_sweep(spec, CONFIG), os.devnull)
+                emit_csv(SweepTable(spec), os.devnull)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -579,7 +602,7 @@ class TestEmitCsv:
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=3.0, samples=64)
         table = oracles.run_sweep(spec, CONFIG)
         target = tmp_path / "sweep.csv"
-        emit_csv(run_sweep(spec, CONFIG), target)
+        emit_csv(SweepTable(spec), target)
         parsed = np.loadtxt(target, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(parsed[:, 0], table.x)
         np.testing.assert_array_equal(parsed[:, 1], table.p_exact)
@@ -781,7 +804,7 @@ class TestCsvKernel:
         size = sweep._CHUNK_ROWS
         if chunk == "sweep":
             spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-6, samples=50_000)
-            block = run_sweep(spec, CONFIG).rows(size, 2 * size)
+            block = SweepTable(spec).rows(size, 2 * size)
         else:
             block = alternating_chunks(seed=5, chunks=1, tail=0)
         sweep._format_block(block, sweep._CsvBuffers(size))  # warm up
@@ -805,7 +828,7 @@ class TestCsvKernel:
         ],
     )
     def test_whole_sweep_tables(self, spec, tmp_path):
-        table = run_sweep(spec, CONFIG)
+        table = SweepTable(spec)
         full = columns_of(oracles.run_sweep(spec, CONFIG))
         expected = CSV_HEADER + "\n" + reference_csv_rows(full.tolist())
         target = tmp_path / "sweep.csv"
@@ -819,7 +842,7 @@ class TestCsvKernel:
 class TestAtomicCsvFile:
     def table(self, rows):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-6, samples=rows)
-        return run_sweep(spec, CONFIG)
+        return SweepTable(spec)
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         target = tmp_path / "out.csv"
