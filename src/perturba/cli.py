@@ -24,7 +24,7 @@ from dataclasses import fields
 
 from .hyperfine import PhysicalConstants
 from .sweep import SweepSpec, SweepTable, emit_csv, first_crossings
-from .sweep import _MODES, _SCALES, _aliasing_phase
+from .sweep import _MODES, _SCALES
 
 CONFIG_ENV_VAR = "PERTURBA_CONFIG"
 
@@ -32,15 +32,11 @@ _CONSTANT_KEYS = tuple(f.name for f in fields(PhysicalConstants))
 _CONFIG_KEYS = _CONSTANT_KEYS + ("b_field",)
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route that through the
     # validation path (exit 1) instead, keeping 2 for genuine I/O trouble.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, float]:
@@ -105,8 +101,8 @@ def _resolve_fixed(args, config_values) -> float:
     if args.mode == "time":
         if "b_field" in config_values:
             return config_values["b_field"]
-        raise _UsageError("time mode needs --fixed or a b_field config entry")
-    raise _UsageError("field mode needs --fixed (the time in seconds)")
+        raise ValueError("time mode needs --fixed or a b_field config entry")
+    raise ValueError("field mode needs --fixed (the time in seconds)")
 
 
 def main(argv=None) -> int:
@@ -131,7 +127,7 @@ def main(argv=None) -> int:
         )
         table = SweepTable(spec, constants)
         crossings = None if args.threshold is None else first_crossings(table, args.threshold)
-        phase = _aliasing_phase(table)
+        phase = table.aliasing_phase
         if phase is not None:
             print(
                 f"perturba: warning: one grid step advances the fastest curve by "

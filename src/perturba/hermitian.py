@@ -13,6 +13,7 @@ differently, so eigenvectors are reproducible there only up to roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,7 @@ def evolve(
     """Propagate a state under exp(-i H t / hbar) using the spectral form.
 
     Returns sum_k exp(-i lambda_k t / hbar) |v_k><v_k|psi0>. Unitary, so
-    the input norm is preserved to roundoff.
+    the input norm is preserved to roundoff; a non-finite phase raises ValueError.
     """
     psi = np.asarray(psi0, dtype=np.complex128)
     if psi.shape != (decomposition.dim,):
@@ -125,7 +126,10 @@ def evolve(
         )
     if not hbar > 0.0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    vecs = decomposition.eigenvectors
-    phases = np.exp(-1j * decomposition.eigenvalues * (t / hbar))
+    w, vecs = decomposition.eigenvalues, decomposition.eigenvectors
+    scale = float(t) / float(hbar)  # Python floats never warn
+    if not math.isfinite(max(map(abs, w.tolist()), default=0.0) * scale):
+        raise ValueError(f"the phase lambda t / hbar leaves float64 at t = {t}")
+    phases = np.exp(-1j * w * scale)
     return vecs @ (phases * (vecs.conj().T @ psi))
 

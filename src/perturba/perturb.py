@@ -34,6 +34,7 @@ inputs; sweeps may evaluate these in parallel without coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -229,8 +230,9 @@ class ImprovedSpectrum:
     """Improved level energies with their per-order correction terms.
 
     ``g_terms[b, k]`` holds G_b(k + 2) for the orders actually included;
-    columns beyond the truncation order stay zero. Energies satisfy
-    ``energies[b] == d[b] + g_terms[b].sum()`` by construction.
+    columns beyond the truncation order stay zero. Energies are summed left
+    to right, ``((d[b] + g_terms[b, 0]) + g_terms[b, 1]) + g_terms[b, 2]``,
+    so they can differ from ``d[b] + g_terms[b].sum()`` in the last bits.
     """
 
     order: int
@@ -278,9 +280,12 @@ def _check_pair(r, gamma: int, beta: int, hbar: float) -> None:
 
 def _first_order(r, phase_energies, gamma: int, beta: int, t: float, hbar: float):
     """|g1|^2 sin^2(w~ t / 2 hbar) / (w / 2)^2 with w~ taken from
-    ``phase_energies`` and w = d_gamma - d_beta; callers check the pair."""
-    omega_tilde = phase_energies[gamma] - phase_energies[beta]
-    argument = omega_tilde * t / (2.0 * hbar)
+    ``phase_energies`` and w = d_gamma - d_beta; callers check the pair.
+    A non-finite phase, formed in Python floats that never warn, raises ValueError."""
+    omega_tilde = float(phase_energies[gamma]) - float(phase_energies[beta])
+    argument = omega_tilde * float(t) / (2.0 * float(hbar))
+    if not math.isfinite(argument):
+        raise ValueError(f"the phase w~ t / 2 hbar leaves float64 at t = {t}")
     coupling = r.g1[gamma, beta]
     if coupling == 0.0:
         return TransitionResult(gamma, beta, 0.0, argument)
@@ -341,7 +346,5 @@ def transition_probability_exact(
     dec = problem.decomposition
     z = hermitian.evolve(dec, np.eye(problem.dim)[beta], t, hbar)[gamma]
     k_gamma, k_beta = np.argmax(np.abs(dec.eigenvectors[[gamma, beta]]), axis=1)
-    omega_exact = dec.eigenvalues[k_gamma] - dec.eigenvalues[k_beta]
-    return TransitionResult(
-        gamma, beta, float(abs(z) ** 2), omega_exact * t / (2.0 * hbar)
-    )
+    omega_exact = float(dec.eigenvalues[k_gamma]) - float(dec.eigenvalues[k_beta])
+    return TransitionResult(gamma, beta, float(abs(z) ** 2), omega_exact * t / (2.0 * hbar))

@@ -3,11 +3,12 @@
 ``SweepTable(spec, constants)`` is a lazy view of one sweep, down to its
 grid: a ``_Grid`` computes any slice of the abscissas on demand, bit-equal
 to numpy's ``linspace`` or ``geomspace``, and is the one place the grid's
-geometry is written down. One walker evaluates its rows, the three curves
-and their absolute deviations from the exact one, ``_CHUNK_ROWS`` at a
-time for both ``emit_csv`` and ``first_crossings``, so neither holds more
-than one chunk. Output is deterministic down to the byte for identical
-inputs.
+geometry is written down. The table refuses phases that leave float64 and
+keeps the fastest rate, which also sets its ``aliasing_phase``. One walker
+evaluates its rows, the three curves and their absolute deviations from
+the exact one, ``_CHUNK_ROWS`` at a time for both ``emit_csv`` and
+``first_crossings``, so neither holds more than one chunk. Output is
+deterministic down to the byte for identical inputs.
 
 ``first_crossings`` owns the divergence query: it rejects a field sweep or
 a threshold that is not > 0 before it evaluates a row, skips the rows of
@@ -32,6 +33,7 @@ import numbers
 import os
 import shutil
 import stat
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,12 +79,9 @@ class SweepSpec:
                 raise InvalidSweepSpec(f"{name} must be finite")
         if not self.start < self.stop:
             raise InvalidSweepSpec(f"start must be < stop, got [{self.start}, {self.stop}]")
-        count = self.samples
-        whole = isinstance(count, numbers.Integral) or (
-            isinstance(count, numbers.Real) and math.isfinite(count) and int(count) == count
-        )
-        if not whole or count < 2:
-            raise InvalidSweepSpec(f"samples must be an integer >= 2, got {count}")
+        count, most = self.samples, sys.maxsize  # a row count must fit an index
+        if not (isinstance(count, numbers.Integral) and 2 <= count <= most):
+            raise InvalidSweepSpec(f"samples must be an integer >= 2 and <= {most}, got {count}")
         if self.scale == "log" and not self.start > 0.0:
             raise InvalidSweepSpec("log scale requires start > 0")
         if self.mode == "time" and self.fixed_value < 0.0:
@@ -143,10 +142,10 @@ class SweepTable:
     ``x`` is a lazy grid that computes the abscissas a slice at a time;
     ``table.x[:]`` gives them as one array. ``rows(lo, hi)`` evaluates rows
     lo..hi into a (hi - lo, 6) block in CSV column order; a row depends on
-    its grid value alone, so slices agree. A spec whose phases can leave
-    float64 raises InvalidSweepSpec: the largest |rate| over its field range
-    times the largest |t| is not finite. That |rate| is at most the largest
-    at the ends of the range or 3W / hbar, so the ends settle it."""
+    its grid value alone, so slices agree. InvalidSweepSpec refuses a spec
+    whose largest |rate| times largest |t| is not finite. That |rate|, kept
+    for ``aliasing_phase``, is at most the largest at the ends of the field
+    range or 3W / hbar, so the ends settle it."""
 
     def __init__(self, spec: SweepSpec, constants: PhysicalConstants = PhysicalConstants()):
         self.spec, self.constants, self.x = spec, constants, _Grid(spec)
@@ -158,6 +157,17 @@ class SweepTable:
             bad = [rate for rate in rates if not math.isfinite(rate * t)]
         if bad:
             raise InvalidSweepSpec(f"phases leave float64 at {bad[0]:.3g} rad/s, |t| = {t:.3g} s")
+        self._fastest = float(max(rates))  # every rate is finite here
+
+    @property
+    def aliasing_phase(self) -> float | None:
+        """The phase (rad) by which the fastest curve sin^2(rate t) of a time
+        sweep advances over its widest grid step, the first or the last, if
+        above pi/2 (under two samples per period); else None."""
+        if self.spec.mode != "time":
+            return None
+        phase = self._fastest * float(max(self.x[1] - self.x[0], self.x[-1] - self.x[-2]))
+        return phase if phase > math.pi / 2 else None
 
     def __len__(self) -> int:
         return len(self.x)
@@ -236,19 +246,6 @@ def _unsafe_rows(grid, t_safe: float) -> list[tuple[int, int]]:
     if hi <= lo:
         return [(0, len(grid))]
     return [(0, lo), (hi, len(grid))]
-
-
-def _aliasing_phase(table: SweepTable) -> float | None:
-    """The phase (rad) the fastest curve sin^2(rate t) of a time sweep
-    advances over its widest grid step, the first or the last, when that
-    exceeds pi/2 and so the grid holds fewer than two samples per period;
-    None otherwise."""
-    if table.spec.mode != "time":
-        return None
-    grid, fixed = table.x, table.spec.fixed_value
-    step = max(grid[1] - grid[0], grid[-1] - grid[-2])
-    phase = max(abs(rate) for rate in angular_rates(table.constants, fixed)) * step
-    return phase if phase > math.pi / 2 else None
 
 
 # The exact %.16e kernel. A finite nonzero float64 is |v| = M 2**(e - 1075)

@@ -11,7 +11,16 @@ import oracles
 import pytest
 
 import perturba
-from perturba import HyperfineConfig, PhysicalConstants, SweepSpec, SweepTable, cli, emit_csv
+from perturba import (
+    HyperfineConfig,
+    PhysicalConstants,
+    SweepSpec,
+    SweepTable,
+    cli,
+    emit_csv,
+    hyperfine,
+    sweep,
+)
 from perturba.cli import CONFIG_ENV_VAR, main, parse_config_text
 
 BASE_ARGS = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1e-8", "--samples", "64"]
@@ -304,6 +313,23 @@ class TestAliasingWarning:
         assert capsys.readouterr().err == ""
 
 
+    @pytest.mark.parametrize("mode, fixed, calls", [("time", "1e-3", 1), ("field", "1e-9", 2)])
+    def test_rates_are_read_once_per_field(self, monkeypatch, tmp_path, mode, fixed, calls):
+        # the table reads the rates at each field it holds and keeps the
+        # fastest for the aliasing phase; the CLI reads them nowhere else
+        fields = []
+
+        def counting(constants, b_field):
+            fields.append(b_field)
+            return hyperfine.angular_rates(constants, b_field)
+
+        monkeypatch.setattr(sweep, "angular_rates", counting)
+        args = ["--mode", mode, "--fixed", fixed, "--start", "1e-4", "--stop", "1e-2",
+                "--samples", "8", "--out", str(tmp_path / "sweep.csv")]
+        assert main(args) == 0
+        assert len(fields) == calls
+
+
 class TestModuleEntryPoint:
     """``python -m perturba.cli`` runs ``main`` and exits with its code."""
 
@@ -320,11 +346,24 @@ class TestModuleEntryPoint:
         assert len(result.stdout.splitlines()) == 5
         assert result.stderr == ""
 
-    def test_overflowing_phase_exits_one(self):
-        result = self.run("--mode", "time", "--fixed", "1e82", "--start", "0",
-                          "--stop", "1e-9", "--samples", "3", "--threshold", "0.5")
+    def refused(self, *args):
+        """stderr of a run that exits 1 with one error line and no traceback."""
+        result = self.run(*args)
         assert result.returncode == 1
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("perturba: error: ")
         assert "Traceback" not in result.stderr
+        return result.stderr
+
+    def test_overflowing_phase_exits_one(self):
+        self.refused("--mode", "time", "--fixed", "1e82", "--start", "0",
+                     "--stop", "1e-9", "--samples", "3", "--threshold", "0.5")
+
+    @pytest.mark.parametrize("threshold", [(), ("--threshold", "0.5")])
+    def test_sample_count_beyond_an_index_exits_one(self, threshold):
+        # 2**63 rows: len() of the table, or bisect() of its grid with a
+        # threshold, raised OverflowError; the spec refuses the count first
+        err = self.refused("--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1",
+                           "--samples", "9223372036854775808", *threshold)
+        assert err.startswith("perturba: error: samples must be an integer >= 2")

@@ -1,6 +1,7 @@
 """Hermitian validation, eigensolver, and spectral evolution checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,24 @@ class TestEvolve:
             t = rng.uniform(-50.0, 50.0)
             out = evolve(dec, psi, t, 1.0)
             assert abs(np.linalg.norm(out) - np.linalg.norm(psi)) <= 1e-12 * np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e300])
+    def test_phase_beyond_float64_raises(self, t):
+        # |lambda| = 3 at hbar = 1e-15 gives 3e315 rad at t = 1e300; no numpy
+        # RuntimeWarning may come before the ValueError
+        dec = eigendecompose(np.diag([-2.0, 0.5, 3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves float64 at t = "):
+                evolve(dec, np.array([1.0, 0.0, 0.0]), t, 1e-15)
+
+    def test_phase_near_the_float64_limit_is_kept(self):
+        dec = eigendecompose(np.diag([-2.0, 0.5, 3.0]))
+        psi = np.array([0.6, 0.0, 0.8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = evolve(dec, psi, 1e290, 1e-15)  # 3e305 rad
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
 
     def test_dimension_mismatch(self):
         dec = eigendecompose(np.eye(3))

@@ -372,6 +372,9 @@ class TestImprovedEnergies:
         e0, h1 = random_problem(rng, 5)
         r = redivide(PerturbationProblem(e0=e0, h1=h1))
         spectrum = improved_energies(r, 4)
+        g = spectrum.g_terms
+        # the stated order holds bit for bit; another order may round apart
+        np.testing.assert_array_equal(spectrum.energies, ((r.d + g[:, 0]) + g[:, 1]) + g[:, 2])
         np.testing.assert_allclose(
             spectrum.energies, r.d + spectrum.g_terms.sum(axis=1), rtol=1e-15
         )
@@ -464,12 +467,30 @@ class TestAmplitudesAndProbabilities:
         with pytest.raises(ValueError):
             transition_probability_traditional(self.r, 1, 1, 1.0, 1.0)
 
-    def transition(self, kind, gamma, beta, hbar):
+    def transition(self, kind, gamma, beta, hbar, t=1.0):
         if kind == "exact":
-            return transition_probability_exact(self.problem, gamma, beta, 1.0, hbar)
+            return transition_probability_exact(self.problem, gamma, beta, t, hbar)
         if kind == "improved":
-            return transition_probability_improved(self.r, self.spectrum, gamma, beta, 1.0, hbar)
-        return transition_probability_traditional(self.r, gamma, beta, 1.0, hbar)
+            return transition_probability_improved(self.r, self.spectrum, gamma, beta, t, hbar)
+        return transition_probability_traditional(self.r, gamma, beta, t, hbar)
+
+    @pytest.mark.parametrize("kind", ["exact", "improved", "traditional"])
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, 1e300])
+    def test_phase_beyond_float64_raises(self, kind, t):
+        # gaps near 4 at hbar = 1e-15 give phases near 2e315 rad at t = 1e300;
+        # no numpy RuntimeWarning may come before the ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves float64 at t = "):
+                self.transition(kind, 3, 1, 1e-15, t)
+
+    @pytest.mark.parametrize("kind", ["exact", "improved", "traditional"])
+    def test_phase_near_the_float64_limit_is_kept(self, kind):
+        # phases near 2e305 rad at t = 1e290
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = self.transition(kind, 3, 1, 1e-15, 1e290)
+        assert np.isfinite(res.probability) and np.isfinite(res.angular_argument)
 
     @pytest.mark.parametrize("kind", ["exact", "improved", "traditional"])
     @pytest.mark.parametrize("gamma, beta", [(3, -1), (-1, 3), (4, 1), (1, 4)])

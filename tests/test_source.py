@@ -86,24 +86,37 @@ def test_only_the_lazy_grid_computes_grids():
     assert SOURCES and not found, found
 
 
-def test_only_the_sweep_table_builds_a_grid():
-    # a table holds its spec's one grid; no other caller builds a second
+def callers(name):
+    """(module, qualified owner) of every call of ``name`` in the package."""
+
     def calls(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from calls(child, f"{owner}.{child.name}" if owner else child.name)
                 continue
             func = child.func if isinstance(child, ast.Call) else None
-            if getattr(func, "id", getattr(func, "attr", None)) == "_Grid":
+            if getattr(func, "id", getattr(func, "attr", None)) == name:
                 yield owner
             yield from calls(child, owner)
 
-    builders = [
+    return [
         (path.stem, owner)
         for path in SOURCES
         for owner in calls(ast.parse(path.read_text(), filename=str(path)), None)
     ]
-    assert builders == [("sweep", "SweepTable.__init__")]
+
+
+def test_only_the_sweep_table_builds_a_grid():
+    # a table holds its spec's one grid; no other caller builds a second
+    assert callers("_Grid") == [("sweep", "SweepTable.__init__")]
+
+
+def test_only_the_sweep_table_reads_the_sweep_rates():
+    # the table keeps the fastest rate for both the float64 refusal and the
+    # aliasing phase; a second reader in sweep would be a second copy of it
+    assert [owner for module, owner in callers("angular_rates") if module == "sweep"] == [
+        "SweepTable.__init__"
+    ]
 
 
 def test_private_imports_cross_only_where_listed():
@@ -117,7 +130,7 @@ def test_private_imports_cross_only_where_listed():
                 if private:
                     edges.setdefault((path.stem, node.module), set()).update(private)
     assert edges == {
-        ("cli", "sweep"): {"_MODES", "_SCALES", "_aliasing_phase"},
+        ("cli", "sweep"): {"_MODES", "_SCALES"},
         # the counting tests and perfbench patch sweep._normalized_triple
         ("sweep", "hyperfine"): {"_deviation_envelope", "_normalized_triple", "_safe_time"},
     }

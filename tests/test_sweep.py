@@ -89,6 +89,21 @@ class TestSpecValidation:
         with pytest.raises(InvalidSweepSpec, match="samples must be an integer >= 2"):
             SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1.0, samples=bad)
 
+    @pytest.mark.parametrize("bad", [3.0, np.float64(3.0), 2**63], ids=["float", "np", "2**63"])
+    def test_samples_are_integers_that_fit_an_index(self, bad):
+        # a whole float is no count, and len() of a larger table cannot be taken
+        with pytest.raises(InvalidSweepSpec, match="samples must be an integer >= 2"):
+            SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1.0, samples=bad)
+
+    def test_largest_sample_count_builds_a_table(self):
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1.0, samples=sys.maxsize)
+        table = SweepTable(spec)
+        assert len(table) == sys.maxsize
+        assert table.x[0] == 0.0 and table.x[-1] == 1.0
+        assert table.aliasing_phase is None
+        assert len(SweepTable(SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1.0,
+                                        samples=np.int64(3)))) == 3
+
 
 TINY = 5e-324  # the smallest subnormal
 
@@ -235,6 +250,18 @@ class TestRunSweep:
         assert np.isfinite(whole(SweepTable(spec))).all()
 
 
+def counted_rows(monkeypatch):
+    """The row count of each curve evaluation the sweep makes from now on."""
+    rows = []
+
+    def counting(w, x, hbar, t):
+        rows.append(len(t))
+        return hyperfine._normalized_triple(w, x, hbar, t)
+
+    monkeypatch.setattr(sweep, "_normalized_triple", counting)
+    return rows
+
+
 class TestDivergenceReport:
     def test_requires_time_mode(self):
         spec = SweepSpec(mode="field", fixed_value=1.0, start=1e-4, stop=1e-2, samples=10)
@@ -268,13 +295,7 @@ class TestDivergenceReport:
     def test_criterion_7_grid_evaluates_one_chunk(self, monkeypatch):
         # the improved envelope peaks below 0.5 on [0, 30] s, so that curve
         # is never evaluated; the traditional one crosses in the first chunk
-        rows = []
-
-        def counting(w, x, hbar, t):
-            rows.append(len(t))
-            return hyperfine._normalized_triple(w, x, hbar, t)
-
-        monkeypatch.setattr(sweep, "_normalized_triple", counting)
+        rows = counted_rows(monkeypatch)
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
         t_traditional, t_improved = divergence_report(spec, CONFIG, 0.5)
         assert t_improved == math.inf and t_traditional < 1e-4
@@ -287,13 +308,7 @@ class TestDivergenceReport:
         _, floor = hyperfine._deviation_envelope(*constants_and_field(1e-3))
         assert hyperfine._DEVIATION_CAP < 1.0003 < 1.0 + floor
         full = oracles.first_crossings(oracles.run_sweep(spec, CONFIG), 1.0003)
-        rows = []
-
-        def counting(w, x, hbar, t):
-            rows.append(len(t))
-            return hyperfine._normalized_triple(w, x, hbar, t)
-
-        monkeypatch.setattr(sweep, "_normalized_triple", counting)
+        rows = counted_rows(monkeypatch)
         assert divergence_report(spec, CONFIG, 1.0003) == full == (math.inf, math.inf)
         assert rows == []
 
@@ -304,13 +319,7 @@ class TestDivergenceReport:
         b_field = 1.0559497443981638e-3
         spec = SweepSpec(mode="time", fixed_value=b_field, start=0.0, stop=30.0,
                          samples=3_000_000)
-        rows = []
-
-        def counting(w, x, hbar, t):
-            rows.append(len(t))
-            return hyperfine._normalized_triple(w, x, hbar, t)
-
-        monkeypatch.setattr(sweep, "_normalized_triple", counting)
+        rows = counted_rows(monkeypatch)
         config = HyperfineConfig(b_field=b_field)
         t_traditional, t_improved = divergence_report(spec, config, 0.5198374750692237)
         assert t_improved == 23.968957989652665 and t_traditional < 1e-4
@@ -350,6 +359,34 @@ def time_specs(draw, max_samples=3 * sweep._CHUNK_ROWS + 100):
     samples = draw(st.one_of(st.integers(2, 64), st.integers(2, max_samples)))
     return SweepSpec(mode="time", fixed_value=b_field, start=start, stop=stop,
                      samples=samples, scale=scale)
+
+
+class TestAliasingPhase:
+    """SweepTable.aliasing_phase is the fastest rate at the held field times
+    the widest grid step, when that exceeds pi/2; None otherwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(time_specs())
+    # 0.71 rad over [0, 10] ns in 64 linear samples; 6.07 rad on a log grid
+    @example(SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-8, samples=64))
+    @example(SweepSpec(mode="time", fixed_value=1e-3, start=1e-12, stop=1e-8, samples=64,
+                       scale="log"))
+    def test_time_sweeps_equal_the_rates_times_the_widest_step(self, spec):
+        space = np.geomspace if spec.scale == "log" else np.linspace
+        x = space(spec.start, spec.stop, spec.samples)
+        rates = hyperfine.angular_rates(CONFIG.constants, spec.fixed_value)
+        phase = max(abs(rate) for rate in rates) * max(x[1] - x[0], x[-1] - x[-2])
+        assert SweepTable(spec).aliasing_phase == (phase if phase > math.pi / 2 else None)
+
+    def test_step_beyond_float64_reads_inf(self):
+        # 4.46e9 rad/s to |t| = 3e298 s fits float64, but over the one 6e298 s
+        # step it does not; the product is a Python float, which never warns
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=-3e298, stop=3e298, samples=2)
+        assert SweepTable(spec).aliasing_phase == math.inf
+
+    def test_field_sweeps_have_none(self):
+        spec = SweepSpec(mode="field", fixed_value=1.0, start=1e-4, stop=1e-2, samples=2)
+        assert SweepTable(spec).aliasing_phase is None
 
 
 class TestPrunedDivergence:
@@ -482,18 +519,6 @@ class TestPrunedDivergence:
             np.testing.assert_array_equal(
                 column.view(np.uint64), np.concatenate(parts).view(np.uint64)
             )
-
-
-def counted_rows(monkeypatch):
-    """The row count of each curve evaluation the sweep makes from now on."""
-    rows = []
-
-    def counting(w, x, hbar, t):
-        rows.append(len(t))
-        return hyperfine._normalized_triple(w, x, hbar, t)
-
-    monkeypatch.setattr(sweep, "_normalized_triple", counting)
-    return rows
 
 
 class TestWalker:
