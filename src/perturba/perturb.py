@@ -17,13 +17,14 @@ R = diag(1 / (d_beta - d_b)), zero at b = beta and across degenerate gaps,
 G(2) = g1 R g1, G(3) = g1 R g1 R g1 and G(4) = g1 R g1 R g1 R g1 minus
 G(2) sum_b |g1[beta, b]|^2 R_b^2, each taken at [beta, beta].
 
-A problem built by its caller is validated once, at construction,
-through ``hermitian.require_hermitian``; its exactly Hermitian result makes
-every G sum real up to roundoff, so the sums keep their real parts
-unchecked. A caller-built ``RedividedProblem`` also rejects a g1 with a
-nonzero diagonal, so no path in the G sums hops from a level to itself.
-``redivide``'s output is trusted instead: a validated h1 with its diagonal
-zeroed is exactly Hermitian, so only the finiteness of d is checked again.
+A problem built by its caller is validated once, at construction, through
+``hermitian.require_hermitian``; its exactly Hermitian result makes every G
+sum real up to roundoff, so the sums keep their real parts unchecked. Its
+diagonal, e0 + diag(h1) or d + diag(g1), must be finite, and a caller-built
+``RedividedProblem`` needs a zero g1 diagonal, so no G path hops from a
+level to itself. ``redivide``'s output is checked only for its finite
+diagonal. Past this gate the G sums, the first-order envelope and the exact
+angular argument raise ValueError at float64's edge, never a numpy warning.
 Both problem types store read-only copies of their arrays.
 
 The full H of a ``PerturbationProblem`` is solved once, on first use, and
@@ -54,16 +55,17 @@ def _validate(problem, vector: str, matrix: str) -> None:
     _store(problem, vector, getattr(problem, vector), matrix, m)
 
 
+@np.errstate(over="ignore")
 def _store(problem, vector: str, v, matrix: str, m) -> None:
-    """Store a read-only copy of ``v`` (finite, real, one entry per row of
-    ``m``) and ``m`` itself, made read-only; no one else may hold ``m``."""
+    """Store a read-only real copy of ``v``, one entry per row of ``m``, and ``m``
+    made read-only; no one else may hold ``m``. ``v + diag(m)`` must be finite."""
     v = np.array(v, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] != m.shape[0]:
         raise DimensionMismatch(
             f"{vector} has shape {v.shape} but {matrix} is {m.shape[0]}x{m.shape[1]}"
         )
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{vector} contains non-finite entries")
+    if not np.isfinite(v + m.diagonal().real).all():
+        raise ValueError(f"{vector} + diag({matrix}) contains non-finite entries")
     v.setflags(write=False)
     m.setflags(write=False)
     object.__setattr__(problem, vector, v)
@@ -85,18 +87,11 @@ class PerturbationProblem:
         return self.e0.shape[0]
 
     def full_hamiltonian(self) -> NDArray[np.complex128]:
-        # an overflowing sum is left inf for the eigensolver's gate to reject
-        with np.errstate(over="ignore"):
-            return np.diag(self.e0).astype(np.complex128) + self.h1
+        return np.diag(self.e0).astype(np.complex128) + self.h1
 
     @cached_property
     def decomposition(self) -> hermitian.SpectralDecomposition:
-        """The spectral decomposition of the full H, solved on first use.
-
-        The solve validates H, so an H that overflows raises
-        NonHermitianInput; nothing is cached then, and every access raises.
-        The cached arrays are read-only, as the problem's own are.
-        """
+        """The full H's spectral decomposition, solved on first use; its arrays are read-only."""
         dec = hermitian.eigendecompose(self.full_hamiltonian())
         dec.eigenvalues.setflags(write=False)
         dec.eigenvectors.setflags(write=False)
@@ -133,25 +128,24 @@ def redivide(problem: PerturbationProblem) -> RedividedProblem:
 
     The original Hamiltonian is recoverable: diag(d) + g1 reproduces
     diag(e0) + h1 entry for entry. The result skips the constructor's
-    Hermiticity check; a non-finite d still raises ValueError.
+    Hermiticity check; a validated h1 stays Hermitian with its diagonal zeroed.
     """
-    with np.errstate(over="ignore"):
-        d = problem.e0 + np.diag(problem.h1).real
+    d = problem.e0 + np.diag(problem.h1).real
     g1 = problem.h1.copy()
     np.fill_diagonal(g1, 0.0)
-    # the validated h1 stays exactly Hermitian with its diagonal zeroed; only
-    # the sum e0 + diag(h1) can still overflow, which _store rejects
     r = object.__new__(RedividedProblem)
     _store(r, "d", d, "g1", g1)
     return r
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     """G(2), G(3), G(4) of each level in ``levels``, in the resolvent form above.
 
     Columns beyond ``order`` stay zero. A masked gap raises
     DegenerateDenominator(beta, lowest b) when a path with a nonzero
     numerator crosses it: a direct coupling, or for G4 an interior level.
+    A term beyond float64 raises ValueError; an infinite gap has a zero resolvent.
     """
     g_terms = np.zeros((r.dim, 3))
     if order < 2:
@@ -180,7 +174,10 @@ def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
         path = path * resolvent
     if order >= 4:
         g_terms[:, 2] -= g_terms[:, 0] * np.sum(weights * resolvent**2, axis=1)
-    return g_terms[levels]
+    g_terms = g_terms[levels]
+    if not np.isfinite(g_terms).all():
+        raise ValueError("a correction term G overflows float64")
+    return g_terms
 
 
 def _check_level(r, level: int) -> None:
@@ -278,14 +275,20 @@ def _check_pair(r, gamma: int, beta: int, hbar: float) -> None:
         raise ValueError(f"hbar must be positive, got {hbar}")
 
 
+def _half_phase(energies, i: int, j: int, t: float, hbar: float) -> float:
+    """(E_i - E_j) t / 2 hbar in Python floats, which never warn; ValueError beyond float64."""
+    argument = (float(energies[i]) - float(energies[j])) * float(t) / (2.0 * float(hbar))
+    if not math.isfinite(argument):
+        raise ValueError(f"the phase w t / 2 hbar leaves float64 at t = {t}")
+    return argument
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _first_order(r, phase_energies, gamma: int, beta: int, t: float, hbar: float):
     """|g1|^2 sin^2(w~ t / 2 hbar) / (w / 2)^2 with w~ taken from
     ``phase_energies`` and w = d_gamma - d_beta; callers check the pair.
-    A non-finite phase, formed in Python floats that never warn, raises ValueError."""
-    omega_tilde = float(phase_energies[gamma]) - float(phase_energies[beta])
-    argument = omega_tilde * float(t) / (2.0 * float(hbar))
-    if not math.isfinite(argument):
-        raise ValueError(f"the phase w~ t / 2 hbar leaves float64 at t = {t}")
+    A phase or an envelope beyond float64 raises ValueError."""
+    argument = _half_phase(phase_energies, gamma, beta, t, hbar)
     coupling = r.g1[gamma, beta]
     if coupling == 0.0:
         return TransitionResult(gamma, beta, 0.0, argument)
@@ -293,6 +296,8 @@ def _first_order(r, phase_energies, gamma: int, beta: int, t: float, hbar: float
     if abs(omega) <= r.degeneracy_tol:
         raise DegenerateDenominator(gamma, beta)
     envelope = (coupling.real**2 + coupling.imag**2) / (omega / 2.0) ** 2
+    if not math.isfinite(envelope):
+        raise ValueError("the envelope |g1|^2 / (w / 2)^2 leaves float64")
     return TransitionResult(gamma, beta, envelope * np.sin(argument) ** 2, argument)
 
 
@@ -346,5 +351,5 @@ def transition_probability_exact(
     dec = problem.decomposition
     z = hermitian.evolve(dec, np.eye(problem.dim)[beta], t, hbar)[gamma]
     k_gamma, k_beta = np.argmax(np.abs(dec.eigenvectors[[gamma, beta]]), axis=1)
-    omega_exact = float(dec.eigenvalues[k_gamma]) - float(dec.eigenvalues[k_beta])
-    return TransitionResult(gamma, beta, float(abs(z) ** 2), omega_exact * t / (2.0 * hbar))
+    argument = _half_phase(dec.eigenvalues, k_gamma, k_beta, t, hbar)
+    return TransitionResult(gamma, beta, float(abs(z) ** 2), argument)

@@ -331,13 +331,14 @@ class TestAliasingWarning:
 
 
 class TestModuleEntryPoint:
-    """``python -m perturba.cli`` runs ``main`` and exits with its code."""
+    """``python -m perturba.cli`` runs ``main`` and exits with its code. It runs
+    with ``-W error``, so a warning fails it as it would fail the pytest process."""
 
     def run(self, *args):
         env = dict(os.environ, PYTHONPATH=str(Path(perturba.__file__).parents[1]))
         env.pop(CONFIG_ENV_VAR, None)
-        return subprocess.run([sys.executable, "-m", "perturba.cli", *args], env=env,
-                              capture_output=True, text=True, timeout=120)
+        return subprocess.run([sys.executable, "-W", "error", "-m", "perturba.cli", *args],
+                              env=env, capture_output=True, text=True, timeout=120)
 
     def test_time_sweep_exits_zero(self):
         result = self.run("--mode", "time", "--fixed", "1e-3", "--start", "0",

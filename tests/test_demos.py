@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion against src/."""
+"""Smoke test: every script in demos/ runs to completion against src/, with
+warnings as errors, as in the pytest process."""
 
 import os
 import subprocess
@@ -20,7 +21,7 @@ def test_demos_are_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -159,29 +159,31 @@ class TestSingleSolve:
             assert bits[:2] == bits[2:]
 
     def test_overflowing_hamiltonian_raises_on_every_exact_call(self):
-        # e0 + diag(h1) overflows; e0 and h1 alone are finite and valid
+        # e0 + diag(h1) overflows; e0 and h1 alone are finite and valid. Such a
+        # problem is refused each time it is built, so no exact call, cached
+        # decomposition or redivide ever meets an overflowed H
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite"):
+                PerturbationProblem(
+                    e0=np.array([1e308, 0.0]), h1=np.array([[1e308, 0.1], [0.1, 0.0]])
+                )
+        # just inside float64, every exact call and redivide go through
         problem = PerturbationProblem(
-            e0=np.array([1e308, 0.0]), h1=np.array([[1e308, 0.1], [0.1, 0.0]])
+            e0=np.array([1e308, 0.0]), h1=np.array([[5e307, 0.1], [0.1, 0.0]])
         )
         for _ in range(2):
-            with pytest.raises(NonHermitianInput, match="non-finite"):
-                transition_probability_exact(problem, 1, 0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="d contains non-finite"):
-            redivide(problem)
+            res = transition_probability_exact(problem, 1, 0, 1.0, 1.0)
+            assert np.isfinite(res.probability) and res.angular_argument == -7.5e307
+        np.testing.assert_array_equal(redivide(problem).d, [1.5e308, 0.0])
 
     def test_overflow_warns_nothing_before_the_documented_exception(self):
         # under python -W error a numpy overflow warning would be raised
-        # instead of NonHermitianInput or ValueError
-        problem = PerturbationProblem(
-            e0=np.array([1e308, 0.0]), h1=np.array([[1e308, 0.0], [0.0, 0.0]])
-        )
+        # instead of the ValueError; both problem types state the rule
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isinf(problem.full_hamiltonian()[0, 0])
-            with pytest.raises(NonHermitianInput, match="non-finite"):
-                problem.decomposition
-            with pytest.raises(ValueError, match="d contains non-finite"):
-                redivide(problem)
+            for kind, vector, matrix in TestProblemValidation.KINDS:
+                with pytest.raises(ValueError, match="non-finite"):
+                    kind(**{vector: [1e308, 0.0], matrix: [[1e308, 0.1], [0.1, 0.0]]})
 
 
 class TestRedivide:
@@ -546,3 +548,54 @@ class TestAmplitudesAndProbabilities:
         with pytest.raises(DegenerateDenominator) as err:
             transition_probability_improved(r, improved_energies(r, 1), 0, 1, 1.0, 1.0)
         assert (err.value.beta, err.value.other) == (0, 1)
+
+
+class TestFloat64Edge:
+    """At float64's edge the engine raises ValueError or returns the float64
+    answer, and no numpy RuntimeWarning comes first."""
+
+    SPAN = PerturbationProblem(e0=[1e308, -1e308], h1=[[0.0, 1.0], [1.0, 0.0]])
+
+    @staticmethod
+    def coupled_pair(gap, coupling):
+        return redivide(PerturbationProblem(e0=[0.0, gap], h1=[[0.0, coupling], [coupling, 0.0]]))
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_gap_beyond_float64_gives_the_float64_energies(self, order):
+        # the overflowed gap has a zero resolvent; the true G2 is about 5e-309
+        spectrum = improved_energies(redivide(self.SPAN), order)
+        np.testing.assert_array_equal(spectrum.energies, [1e308, -1e308])
+        np.testing.assert_array_equal(spectrum.g_terms, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("correction", [improved_energies, g2, g3, g4],
+                             ids=lambda f: f.__name__)
+    def test_correction_beyond_float64_raises(self, correction):
+        r = self.coupled_pair(1.0, 1e155)  # |g1|^2 = 1e310
+        with pytest.raises(ValueError, match="overflows float64"):
+            correction(r) if correction is improved_energies else correction(r, 0)
+
+    @pytest.mark.parametrize("kind", ["improved", "traditional"])
+    @pytest.mark.parametrize("gap, coupling", [(1.0, 1e155), (1e-200, 1e-170)])
+    def test_envelope_beyond_float64_raises(self, kind, gap, coupling):
+        # 1e155 overflows |g1|^2; at 1e-200 both |g1|^2 and (w / 2)^2 underflow to 0
+        r = self.coupled_pair(gap, coupling)
+        with pytest.raises(ValueError, match="envelope"):
+            if kind == "improved":
+                transition_probability_improved(r, improved_energies(r, 1), 1, 0, 1.0, 1.0)
+            else:
+                transition_probability_traditional(r, 1, 0, 1.0, 1.0)
+
+    def test_envelope_near_the_float64_limit_is_kept(self):
+        res = transition_probability_traditional(self.coupled_pair(1.0, 1e150), 1, 0, 1.0, 1.0)
+        assert res.probability == pytest.approx(4e300 * np.sin(0.5) ** 2, rel=1e-12)
+
+    def test_exact_argument_beyond_float64_raises(self):
+        # the phase of evolve is finite at t = 1e-300; the gap of 2e308 is not
+        with pytest.raises(ValueError, match="leaves float64 at t = "):
+            transition_probability_exact(self.SPAN, 1, 0, 1e-300, 1.0)
