@@ -34,24 +34,25 @@ def require_hermitian(matrix) -> NDArray[np.complex128]:
     bounds diagonal imaginary parts). The bound scales with the matrix, so
     the same matrix passes or fails in any unit system; a zero matrix passes.
 
-    An accepted asymmetry is projected out as m/2 + m^H/2, which is exactly
-    Hermitian with a real diagonal; an exactly Hermitian input comes back as
-    a bit-identical copy. Callers rely on that and check nothing again.
+    An exactly Hermitian input (m == m^H, -0.0 matching +0.0) is accepted by
+    one comparison and comes back as a bit-identical copy. Any other accepted
+    asymmetry is projected out as m/2 + m^H/2, exactly Hermitian with a real
+    diagonal. Callers rely on that and check nothing again.
     """
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m).all():
         raise NonHermitianInput("matrix contains non-finite entries")
-    asym = np.max(np.abs(m - m.conj().T), initial=0.0)
-    bound = HERMITICITY_RTOL * np.max(np.abs(m), initial=0.0)
+    if (m == m.conj().T).all():
+        return m
+    asym = np.max(np.abs(m - m.conj().T))  # > 0: finite entries differ somewhere
+    bound = HERMITICITY_RTOL * np.max(np.abs(m))
     if asym > bound:
         raise NonHermitianInput(
             f"matrix is not Hermitian: max |m - m^H| = {asym:.3e} > {bound:.3e}"
         )
-    if asym > 0.0:  # halve first, so the sum cannot overflow
-        m = 0.5 * m + 0.5 * m.conj().T
-    return m
+    return 0.5 * m + 0.5 * m.conj().T  # halve first, so the sum cannot overflow
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,8 @@ def _order_and_fix_phase(w, v):
     every column is scaled by the unit phase that makes that component
     real and positive.
     """
-    lead = np.argmax(np.abs(v), axis=0)
-    if np.any(w[1:] == w[:-1]):
+    lead = np.abs(v).argmax(axis=0)
+    if (w[1:] == w[:-1]).any():
         order = np.lexsort((lead, w))
         w, v, lead = w[order], v[:, order], lead[order]
     entries = v[lead, np.arange(w.shape[0])]

@@ -213,18 +213,24 @@ def improved_energies_closed_form(config: HyperfineConfig) -> NDArray[np.float64
     return np.array([w + x, -w + improved, w - x, -w - improved])
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def angular_rates(constants: PhysicalConstants, b_field):
     """Angular rates (rad/s) of the three normalized curves; b_field may be an array.
 
     Returns (exact, improved, traditional) where each curve is
     sin^2(rate * t) apart from the exact curve's amplitude denominator.
-    The traditional rate 2W/hbar does not depend on the field.
+    The traditional rate 2W/hbar does not depend on the field. A rate
+    beyond float64 raises ValueError, never a numpy warning.
     """
     w = constants.w_ev
     hbar = constants.hbar_evs
     x = constants.mu_e_ev_per_tesla * np.asarray(b_field, dtype=np.float64)
     exact, improved = _gaps(w, x)
-    return exact / hbar, improved / hbar, 2.0 * w / hbar
+    rates = exact / hbar, improved / hbar, 2.0 * w / hbar
+    if not all(np.isfinite(rate).all() for rate in rates):
+        b_max = np.max(np.abs(b_field))
+        raise ValueError(f"an angular rate leaves float64 at |B| <= {b_max:.3g} T")
+    return rates
 
 
 def _normalized_triple(w: float, x, hbar: float, t):
@@ -327,6 +333,7 @@ def _safe_time(rate: float, floor: float, threshold: float) -> float:
     return math.asin(margin) / rate * (1.0 - (_ASIN_ULPS + 4) * _EPS) - 2.0**-1074
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def normalized_probabilities(config: HyperfineConfig, t):
     """The three dimensionless 2 -> 4 comparison curves at time(s) ``t``.
 
@@ -334,10 +341,17 @@ def normalized_probabilities(config: HyperfineConfig, t):
     (omega42 / 2)^2 / (mu_e B)^2 = (2W / B mu_e)^2, which strips the
     shared envelope so the phase behavior can be compared directly.
     Returns (exact, improved, traditional); scalars in, scalars out.
+    A phase beyond float64, or a time that is not finite, raises
+    ValueError, never a numpy warning: any of them leaves a curve nan.
     """
     pT, pI, p = _normalized_triple(
         config.constants.w_ev, config.coupling_ev, config.constants.hbar_evs, t
     )
+    if not all(np.isfinite(curve).all() for curve in (pT, pI, p)):
+        t_max = np.max(np.abs(t))
+        raise ValueError(
+            f"the curves leave float64 at B = {config.b_field:.3g} T, |t| <= {t_max:.3g} s"
+        )
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(pT), float(pI), float(p)
     return pT, pI, p

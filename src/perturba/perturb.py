@@ -130,7 +130,7 @@ def redivide(problem: PerturbationProblem) -> RedividedProblem:
     diag(e0) + h1 entry for entry. The result skips the constructor's
     Hermiticity check; a validated h1 stays Hermitian with its diagonal zeroed.
     """
-    d = problem.e0 + np.diag(problem.h1).real
+    d = problem.e0 + problem.h1.diagonal().real
     g1 = problem.h1.copy()
     np.fill_diagonal(g1, 0.0)
     r = object.__new__(RedividedProblem)
@@ -142,10 +142,11 @@ def redivide(problem: PerturbationProblem) -> RedividedProblem:
 def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     """G(2), G(3), G(4) of each level in ``levels``, in the resolvent form above.
 
-    Columns beyond ``order`` stay zero. A masked gap raises
-    DegenerateDenominator(beta, lowest b) when a path with a nonzero
-    numerator crosses it: a direct coupling, or for G4 an interior level.
-    A term beyond float64 raises ValueError; an infinite gap has a zero resolvent.
+    Columns beyond ``order`` stay zero. Only when a gap off the diagonal is
+    masked does a check run: DegenerateDenominator(beta, lowest b) when a
+    path with a nonzero numerator crosses it, a direct coupling or for G4
+    an interior level. A term beyond float64 raises ValueError; an infinite
+    gap has a zero resolvent.
     """
     g_terms = np.zeros((r.dim, 3))
     if order < 2:
@@ -156,24 +157,25 @@ def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     resolvent = np.divide(1.0, gap, out=np.zeros_like(gap), where=~masked)
     np.fill_diagonal(masked, False)  # b = beta leaves every sum; it is no degeneracy
 
-    crossed = g1 != 0.0  # symmetric: g1 is exactly Hermitian
-    if order >= 4:
-        crossed |= crossed @ crossed
-    offending = np.argwhere((masked & crossed)[levels])
-    if offending.size:
-        i, other = offending[0]
-        raise DegenerateDenominator(int(levels[i]), int(other))
+    if masked.any():
+        crossed = g1 != 0.0  # symmetric: g1 is exactly Hermitian
+        if order >= 4:
+            crossed |= crossed @ crossed
+        offending = np.argwhere((masked & crossed)[levels])
+        if offending.size:
+            i, other = offending[0]
+            raise DegenerateDenominator(int(levels[i]), int(other))
 
+    # np.add.reduce is the reduction np.sum calls, without its Python wrapper
     weights = g1.real**2 + g1.imag**2
-    g_terms[:, 0] = np.sum(weights * resolvent, axis=1)
+    g_terms[:, 0] = np.add.reduce(weights * resolvent, axis=1)
     v = resolvent * g1.T
-    path = g1 * resolvent
+    path = g1
     for k in range(1, order - 1):  # each order adds one g1 R hop to the path
-        path = path @ g1
-        g_terms[:, k] = np.sum(path * v, axis=1).real
-        path = path * resolvent
+        path = (path * resolvent) @ g1
+        g_terms[:, k] = np.add.reduce(path * v, axis=1).real
     if order >= 4:
-        g_terms[:, 2] -= g_terms[:, 0] * np.sum(weights * resolvent**2, axis=1)
+        g_terms[:, 2] -= g_terms[:, 0] * np.add.reduce(weights * resolvent**2, axis=1)
     g_terms = g_terms[levels]
     if not np.isfinite(g_terms).all():
         raise ValueError("a correction term G overflows float64")

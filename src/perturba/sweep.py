@@ -152,12 +152,14 @@ class SweepTable:
         held, ends = (spec.fixed_value,), (spec.start, spec.stop)
         b_fields, times = (held, ends) if spec.mode == "time" else (ends, held)
         t = max(map(abs, times))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rates = [abs(rate) for b in b_fields for rate in angular_rates(constants, b)]
-            bad = [rate for rate in rates if not math.isfinite(rate * t)]
+        try:
+            rates = [abs(float(rate)) for b in b_fields for rate in angular_rates(constants, b)]
+        except ValueError as exc:
+            raise InvalidSweepSpec(f"phases leave float64: {exc}") from None
+        bad = [rate for rate in rates if not math.isfinite(rate * t)]  # Python floats never warn
         if bad:
             raise InvalidSweepSpec(f"phases leave float64 at {bad[0]:.3g} rad/s, |t| = {t:.3g} s")
-        self._fastest = float(max(rates))  # every rate is finite here
+        self._fastest = max(rates)  # every rate is finite here
 
     @property
     def aliasing_phase(self) -> float | None:

@@ -5,7 +5,9 @@ definitions (dense loops, no skip logic), a cyclic-Jacobi eigensolver,
 a random-problem generator, the slow CSV formatter with a table stand-in
 to feed it arbitrary values, and the eager full-table sweep that the
 chunked, pruned walker must agree with, kept apart from the package so the
-engine and its checks cannot share a bug.
+engine and its checks cannot share a bug. The Hermitian gate and the G sums
+are also kept in their unhurried forms, which compute every check and
+every product for each input, so the fast paths must match them bit for bit.
 """
 
 import math
@@ -74,6 +76,67 @@ def brute_g4(d, g1, beta):
                 / ((d[beta] - d[b1]) ** 2 * (d[beta] - d[b2]))
             )
     return paths.real - collapse
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_g_sums(r, levels, order):
+    """``perturb._g_sums`` with its two-hop degeneracy check run on every
+    problem, ``np.sum`` reductions and one last resolvent product."""
+    from perturba import DegenerateDenominator
+
+    g_terms = np.zeros((r.dim, 3))
+    if order < 2:
+        return g_terms[levels]
+    g1 = r.g1
+    gap = r.d[:, None] - r.d
+    masked = np.abs(gap) <= r.degeneracy_tol
+    resolvent = np.divide(1.0, gap, out=np.zeros_like(gap), where=~masked)
+    np.fill_diagonal(masked, False)  # b = beta leaves every sum; it is no degeneracy
+
+    crossed = g1 != 0.0  # symmetric: g1 is exactly Hermitian
+    if order >= 4:
+        crossed |= crossed @ crossed
+    offending = np.argwhere((masked & crossed)[levels])
+    if offending.size:
+        i, other = offending[0]
+        raise DegenerateDenominator(int(levels[i]), int(other))
+
+    weights = g1.real**2 + g1.imag**2
+    g_terms[:, 0] = np.sum(weights * resolvent, axis=1)
+    v = resolvent * g1.T
+    path = g1 * resolvent
+    for k in range(1, order - 1):  # each order adds one g1 R hop to the path
+        path = path @ g1
+        g_terms[:, k] = np.sum(path * v, axis=1).real
+        path = path * resolvent
+    if order >= 4:
+        g_terms[:, 2] -= g_terms[:, 0] * np.sum(weights * resolvent**2, axis=1)
+    g_terms = g_terms[levels]
+    if not np.isfinite(g_terms).all():
+        raise ValueError("a correction term G overflows float64")
+    return g_terms
+
+
+def reference_require_hermitian(matrix):
+    """``hermitian.require_hermitian`` measuring the asymmetry of every input,
+    an exactly Hermitian one included, and projecting whenever it is > 0."""
+    from perturba import NonHermitianInput
+    from perturba.hermitian import HERMITICITY_RTOL
+
+    m = np.array(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m.view(np.float64))):
+        raise NonHermitianInput("matrix contains non-finite entries")
+    asym = np.max(np.abs(m - m.conj().T), initial=0.0)
+    bound = HERMITICITY_RTOL * np.max(np.abs(m), initial=0.0)
+    if asym > bound:
+        raise NonHermitianInput(
+            f"matrix is not Hermitian: max |m - m^H| = {asym:.3e} > {bound:.3e}"
+        )
+    if asym > 0.0:  # halve first, so the sum cannot overflow
+        m = 0.5 * m + 0.5 * m.conj().T
+    return m
 
 
 def random_problem(rng, dim, complex_valued=True, coupling_scale=0.2):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jacobi_eigh, reference_order_and_fix_phase
+from oracles import jacobi_eigh, reference_order_and_fix_phase, reference_require_hermitian
 from perturba import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -87,7 +87,70 @@ def exact_hermitian(draw, min_dim=0):
     return h
 
 
+@st.composite
+def near_hermitian(draw):
+    """An exactly Hermitian matrix, left as it is or changed at one drawn
+    entry (i, j) and its mirror (j, i): one entry moved by up to 3e-13 of
+    max |h|, so both verdicts are drawn; signed zeros, -0.0 against +0.0;
+    an imaginary diagonal part near the bound; inf or nan, mirrored."""
+    h = draw(exact_hermitian(min_dim=1))
+    n = h.shape[0]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kind = draw(
+        st.sampled_from(["exact", "moved", "signed_zero", "imaginary_diagonal", "non_finite"])
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.max(np.abs(h))
+        if kind == "moved":
+            rel = draw(st.tuples(st.floats(-3e-13, 3e-13), st.floats(-3e-13, 3e-13)))
+            h[i, j] += complex(rel[0] * scale, rel[1] * scale)
+        elif kind == "signed_zero":
+            zero = st.sampled_from([0.0, -0.0])
+            h[i, j] = complex(draw(zero), draw(zero))
+            h[j, i] = complex(draw(zero), draw(zero))
+        elif kind == "imaginary_diagonal":
+            h[i, i] += 1j * draw(st.floats(-1e-13, 1e-13)) * scale
+        elif kind == "non_finite":
+            value = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+            h[i, j] = h[j, i] = complex(value, 0.0) if draw(st.booleans()) else complex(0.0, value)
+    return h
+
+
 class TestRequireHermitian:
+    @given(h=near_hermitian())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_reference_gate(self, h):
+        # the same bits, or NonHermitianInput with the same message; numpy's
+        # overflow warnings on huge entries are the reference's, not the verdict
+        def outcome(gate):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = gate(h)
+            except NonHermitianInput as exc:
+                return str(exc)
+            return out.dtype, out.shape, out.tobytes()
+
+        assert outcome(require_hermitian) == outcome(reference_require_hermitian)
+
+    def test_imaginary_diagonal_within_the_bound_is_projected(self):
+        h = np.diag([1.0 + 5e-14j, -2.0])
+        out = require_hermitian(h)
+        assert out.tobytes() == reference_require_hermitian(h).tobytes()
+        np.testing.assert_array_equal(out, np.diag([1.0, -2.0]))
+
+    def test_signed_zero_mirrors_come_back_as_they_are(self):
+        h = np.array([[1.0, complex(-0.0, -0.0)], [complex(0.0, 0.0), 2.0]])
+        assert require_hermitian(h).tobytes() == h.tobytes()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, complex(0.0, math.inf)])
+    def test_mirrored_non_finite_entries_are_refused(self, value):
+        # inf == conj(inf) passes the Hermitian comparison, and nan > bound is
+        # false; only the finite check refuses them
+        h = np.eye(3, dtype=complex)
+        h[0, 2] = h[2, 0] = value
+        with pytest.raises(NonHermitianInput, match="non-finite"):
+            require_hermitian(h)
+
     @given(h=exact_hermitian())
     @settings(max_examples=200, deadline=None)
     def test_exact_hermitian_input_is_returned_bit_for_bit(self, h):

@@ -1,5 +1,8 @@
 """Constants chain, basis construction, closed forms, and the normalized curves."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -350,3 +353,43 @@ class TestNormalizedCurves:
 
         pT, pI, _ = _normalized_triple(constants.w_ev, x, constants.hbar_evs, 1.0)
         assert np.max(np.abs(pT - pI)) <= 1e-3
+
+
+class TestFloat64Edge:
+    """At float64's edge the public curve functions raise ValueError, and no
+    numpy RuntimeWarning comes first."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize(
+        "b_field, t",
+        [
+            (1e-3, math.inf),  # sin(inf)
+            (1e-3, 1e300),  # 4.46e9 rad/s for 1e300 s
+            (1e-3, np.array([0.0, 1e-9, 1e300])),
+            (1e-3, math.nan),
+            (1e300, 0.0),  # the exact gap is inf, and inf * 0 is nan
+        ],
+    )
+    def test_curves_beyond_float64_raise(self, b_field, t):
+        with pytest.raises(ValueError, match="the curves leave float64"):
+            normalized_probabilities(HyperfineConfig(b_field=b_field), t)
+
+    def test_curves_near_the_float64_limit_are_kept(self):
+        # 4.46e9 rad/s out to 1e298 s stays below 1.8e308 rad
+        curves = normalized_probabilities(HyperfineConfig(b_field=1e-3), np.array([0.0, 1e298]))
+        assert all(np.isfinite(curve).all() for curve in curves)
+
+    @pytest.mark.parametrize("b_field", [1e150, np.array([0.0, 1e-3, 1e150]), 1e81])
+    def test_rates_beyond_float64_raise(self, b_field):
+        # x**4 / (4W)^3 overflows at 1e81 T; at 1e150 T so does x**4 itself
+        with pytest.raises(ValueError, match="an angular rate leaves float64"):
+            angular_rates(PhysicalConstants(), b_field)
+
+    def test_rates_near_the_float64_limit_are_kept(self):
+        # x**4 / (4W)^3 / hbar at 1e73 T is about -8.5e305 rad/s
+        assert all(np.isfinite(rate) for rate in angular_rates(PhysicalConstants(), 1e73))

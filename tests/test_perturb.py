@@ -27,7 +27,9 @@ from oracles import (
     brute_g4,
     order_scaling_slopes,
     random_problem,
+    reference_g_sums,
 )
+from perturba.perturb import _g_sums
 
 W, X = 1.0, 0.1
 
@@ -343,6 +345,52 @@ class TestCorrectionSums:
         for beta in range(6):
             for value in (g2(r, beta), g3(r, beta), g4(r, beta)):
                 assert isinstance(value, float) and np.isfinite(value)
+
+
+def g_sums_outcome(g_sums, r, levels, order):
+    """The G-sum bits, or the (beta, other) of the DegenerateDenominator raised."""
+    try:
+        return g_sums(r, levels, order).tobytes()
+    except DegenerateDenominator as err:
+        return err.beta, err.other
+
+
+class TestGSumsMatchReference:
+    """``_g_sums`` skips the degeneracy check when no gap is masked and
+    reduces with ``np.add.reduce``; ``reference_g_sums`` does neither, so
+    every outcome must be the same bits or the same exception."""
+
+    @staticmethod
+    def problem(rng, n, case):
+        """A random problem whose levels a and a + 1 share d exactly, unless
+        ``case`` is "dense"; returns it with a."""
+        e0, h1 = random_problem(rng, n, complex_valued=bool(rng.integers(2)))
+        a = int(rng.integers(n - 1))
+        if case != "dense":
+            e0[a + 1], h1[a + 1, a + 1] = e0[a], h1[a, a]
+        if case == "two_hop":  # no direct coupling across the gap; a third level reaches both
+            h1[a, a + 1] = h1[a + 1, a] = 0.0
+        if case == "uncoupled":  # no path at all: odd and even levels never couple
+            h1[0::2, 1::2] = h1[1::2, 0::2] = 0.0
+        return redivide(PerturbationProblem(e0=e0, h1=h1)), a
+
+    @pytest.mark.parametrize("case", ["dense", "coupled", "two_hop", "uncoupled"])
+    @pytest.mark.parametrize("n", [2, 4, 8, 12])
+    def test_same_bits_or_same_degeneracy(self, n, case):
+        rng = np.random.default_rng([n, ord(case[0])])
+        raised_at = set()
+        for _ in range(4):
+            r, a = self.problem(rng, n, case)
+            for order in (1, 2, 3, 4):
+                for levels in (np.arange(n), *([beta] for beta in range(n))):
+                    expected = g_sums_outcome(reference_g_sums, r, levels, order)
+                    assert g_sums_outcome(_g_sums, r, levels, order) == expected
+                    if isinstance(expected, tuple):
+                        assert sorted(expected) == [a, a + 1]
+                        raised_at.add(order)
+        # the masked gap raises exactly where a path with a nonzero numerator crosses it
+        two_hop = {4} if n > 2 else set()
+        assert raised_at == {"coupled": {2, 3, 4}, "two_hop": two_hop}.get(case, set())
 
 
 class TestImprovedEnergies:
