@@ -6,9 +6,11 @@ to numpy's ``linspace`` or ``geomspace``, and is the one place the grid's
 geometry is written down. The table refuses phases that leave float64 and
 keeps the fastest rate, which also sets its ``aliasing_phase``. One walker
 evaluates its rows, the three curves and their absolute deviations from
-the exact one, ``_CHUNK_ROWS`` at a time for both ``emit_csv`` and
-``first_crossings``, so neither holds more than one chunk. Output is
-deterministic down to the byte for identical inputs.
+the exact one, in chunks of at most ``_CHUNK_ROWS``, so neither
+``emit_csv`` nor ``first_crossings`` holds more than one chunk. ``emit_csv``
+takes whole chunks; ``first_crossings`` starts each range it walks at
+``_FIRST_CROSSING_ROWS`` and doubles, since a crossing often lies a few
+rows in. Output is deterministic down to the byte for identical inputs.
 
 ``first_crossings`` owns the divergence query: it rejects a field sweep or
 a threshold that is not > 0 before it evaluates a row, skips the rows of
@@ -48,10 +50,14 @@ _COLUMNS = tuple(CSV_HEADER.split(","))
 
 _MODES = ("time", "field")
 _SCALES = ("linear", "log")
-#: rows per chunk of the walker, for emit_csv and first_crossings alike; on
-#: 50,000-row tables emit_csv ran 15-20% slower at 1,024 rows and 5-7%
-#: faster at 4,096, whose buffers are twice the size
+#: rows per chunk of the walker: every chunk of emit_csv, and the largest of
+#: first_crossings; on 50,000-row tables emit_csv ran 15-20% slower at 1,024
+#: rows and 5-7% faster at 4,096, whose buffers are twice the size
 _CHUNK_ROWS = 2048
+#: the first chunk of each range first_crossings walks; later ones double.
+#: Over 320 seeded queries on criterion 7's grid, p90 per call was 0.50-0.55
+#: ms at 64 rows, 0.63-0.69 at 16, 0.51-0.54 at 256 and 0.85-0.95 at 2,048
+_FIRST_CROSSING_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,38 @@ class _Grid:
                 y[rows.index(row)] = value
         return y
 
+    def bisect(self, t: float, right: bool = False) -> int:
+        """``bisect.bisect_right(grid, t)`` if ``right``, else ``bisect_left``,
+        reading about six rows instead of about log2(len). The bisection's
+        steps whose middle row lies outside four rows around the row the
+        geometry guesses for t are taken unread, down to the first inside;
+        the rows just outside that step's range must bound t. Rows 1..len-2
+        ascend (as far as ``np.power`` does on a log grid), so a full
+        bisection takes the same steps. A guess that is not finite, a zero
+        delta (equal log10 endpoints) or a bad bound searches the whole grid."""
+        find, rows = (bisect.bisect_right if right else bisect.bisect_left), self._rows
+        y = t if not self._log else math.log10(t) if t > 0.0 else -math.inf
+        delta = float(self._delta)
+        guess = (y - float(self._start)) / delta * self._div if delta else math.nan
+        if not math.isfinite(guess):
+            return find(self, t)
+        # a window of rows, never empty: the first or the last row may be out of order
+        first = min(max(int(guess) - 1, 0), rows - 1)
+        last = min(first + 4, rows)
+        lo, hi = 0, rows
+        while lo < hi:  # bisect's own steps
+            mid = (lo + hi) // 2
+            if mid < first:
+                lo = mid + 1
+            elif mid >= last:
+                hi = mid
+            else:
+                break
+        before = (lambda row: not t < self[row]) if right else (lambda row: self[row] < t)
+        if (lo == 0 or before(lo - 1)) and (hi == rows or not before(hi)):
+            return find(self, t, lo, hi)
+        return find(self, t)
+
     def _at(self, i):
         """The grid at float64 row numbers ``i`` before numpy sets the endpoints."""
         if self._step == 0.0:
@@ -181,11 +219,14 @@ class SweepTable:
         return np.column_stack((x, *curves, *(np.abs(p - curves[0]) for p in curves[1:])))
 
 
-def _walk(table, ranges):
-    """(first row, ``table.rows`` block) per ``_CHUNK_ROWS`` slice of ``ranges``, ascending."""
+def _walk(table, ranges, first=_CHUNK_ROWS):
+    """(first row, ``table.rows`` block) per chunk of ``ranges``, ascending.
+    Each range's chunks start at ``first`` rows and double up to ``_CHUNK_ROWS``."""
     for lo, hi in ranges:
-        for start in range(lo, hi, _CHUNK_ROWS):
-            yield start, table.rows(start, min(start + _CHUNK_ROWS, hi))
+        start, size = lo, first
+        while start < hi:
+            yield start, table.rows(start, min(start + size, hi))
+            start, size = start + size, min(2 * size, _CHUNK_ROWS)
 
 
 def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
@@ -213,7 +254,8 @@ def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
     while math.inf in crossings:
         open_curves = [curve for curve in (0, 1) if crossings[curve] == math.inf]
         ranges = _unsafe_rows(table.x, min(safe[curve] for curve in open_curves))
-        for start, block in _walk(table, [(max(lo, done), hi) for lo, hi in ranges]):
+        walk = _walk(table, [(max(lo, done), hi) for lo, hi in ranges], _FIRST_CROSSING_ROWS)
+        for start, block in walk:
             for curve in open_curves:  # dev_traditional is column 5, dev_improved 4
                 hits = np.flatnonzero(block[:, 5 - curve] > threshold)
                 if hits.size:
@@ -236,11 +278,11 @@ def divergence_report(
 
 
 def _unsafe_rows(grid, t_safe: float) -> list[tuple[int, int]]:
-    """Row ranges of an ascending grid outside the run |t| <= t_safe, which
-    is shrunk by one row at each edge that falls inside the grid. Two
-    bisections read about 2 log2(len) rows of a lazy grid."""
-    lo = bisect.bisect_left(grid, -t_safe)
-    hi = bisect.bisect_right(grid, t_safe)
+    """Row ranges of a ``_Grid`` outside the run |t| <= t_safe, which
+    is shrunk by one row at each edge that falls inside the grid. The two
+    windowed bisections of ``_Grid.bisect`` read about a dozen rows."""
+    lo = grid.bisect(-t_safe)
+    hi = grid.bisect(t_safe, right=True)
     if lo > 0:
         lo += 1
     if hi < len(grid):

@@ -363,8 +363,8 @@ class TestModuleEntryPoint:
 
     @pytest.mark.parametrize("threshold", [(), ("--threshold", "0.5")])
     def test_sample_count_beyond_an_index_exits_one(self, threshold):
-        # 2**63 rows: len() of the table, or bisect() of its grid with a
-        # threshold, raised OverflowError; the spec refuses the count first
+        # 2**63 rows: len() of the table, or the bisection of its grid with
+        # a threshold, raised OverflowError; the spec refuses the count first
         err = self.refused("--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1",
                            "--samples", "9223372036854775808", *threshold)
         assert err.startswith("perturba: error: samples must be an integer >= 2")

@@ -116,6 +116,25 @@ def near_hermitian(draw):
     return h
 
 
+@st.composite
+def below_two(draw):
+    """A complex matrix whose parts are multiples of 2**-51 below 2 in
+    magnitude: as drawn, or made exactly Hermitian with one entry then moved
+    by up to 3e-13 of max |h|, so both verdicts are drawn. Times 2**1023
+    every part stays finite, while |m|, m - m^H or both can overflow."""
+    n = draw(st.integers(1, 4))
+    top = 2**52 - 2**20
+    parts = draw(st.lists(st.integers(-top, top), min_size=2 * n * n, max_size=2 * n * n))
+    h = (np.array(parts, dtype=np.float64) * 2.0**-51).view(np.complex128).reshape(n, n)
+    if draw(st.booleans()):
+        h = np.triu(h, 1) + np.triu(h, 1).conj().T + np.diag(h.diagonal().real)
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rel = draw(st.tuples(st.floats(-3e-13, 3e-13), st.floats(-3e-13, 3e-13)))
+        scale = np.max(np.abs(h))
+        h[i, j] += complex(rel[0] * scale, rel[1] * scale)
+    return h
+
+
 class TestRequireHermitian:
     @given(h=near_hermitian())
     @settings(max_examples=500, deadline=None)
@@ -202,6 +221,43 @@ class TestRequireHermitian:
         far_off[0, 3] += 1e-11 * h_max
         with pytest.raises(NonHermitianInput):
             require_hermitian(scale * far_off)
+
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            [[0.0, 1.5e308 + 1.5e308j], [-1.5e308 + 1.5e308j, 0.0]],  # m^H = -m
+            [[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]],
+            [[0.0, 1e308], [-1e308, 0.0]],
+            [[1e308 + 1e308j, 0.0], [0.0, 1.0]],
+        ],
+    )
+    def test_asymmetry_beyond_float64_is_refused_without_a_warning(self, h):
+        # m - m^H overflows, and with it max |m| on the first two: inf > inf
+        # let them through, and the others warned first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitianInput, match=r"max \|m - m\^H\| = inf > "):
+                require_hermitian(h)
+
+    @given(h=below_two())
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_holds_at_the_edge_of_float64(self, h):
+        # the verdict on m and on m * 2**1023, whose figures overflow, agree;
+        # the accepted one comes back finite and exactly Hermitian
+        def verdict(m):
+            try:
+                return require_hermitian(m)
+            except NonHermitianInput:
+                return None
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, edge = verdict(h), verdict(h * 2.0**1023)
+        assert (out is None) == (edge is None)
+        if edge is not None:
+            assert np.all(np.isfinite(edge.view(np.float64)))
+            assert np.array_equal(edge, edge.conj().T)
 
 
 class TestEigendecompose:

@@ -86,6 +86,29 @@ def test_only_the_lazy_grid_computes_grids():
     assert SOURCES and not found, found
 
 
+def test_only_the_lazy_grid_bisects():
+    # _Grid.bisect starts at the row its geometry predicts and reads about
+    # six rows; a bisection anywhere else reads about log2(len)
+    def bisections(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from bisections(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if isinstance(child, (ast.Name, ast.Attribute)) and name in {"bisect_left",
+                                                                         "bisect_right"}:
+                yield name, owner
+            yield from bisections(child, owner)
+
+    found = {
+        (path.stem, *use)
+        for path in SOURCES
+        for use in bisections(ast.parse(path.read_text(), filename=str(path)), None)
+    }
+    assert found == {("sweep", "bisect_left", "_Grid.bisect"),
+                     ("sweep", "bisect_right", "_Grid.bisect")}
+
+
 def callers(name):
     """(module, qualified owner) of every call of ``name`` in the package."""
 

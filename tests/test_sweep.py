@@ -1,5 +1,7 @@
 """Sweep grids, deviation tables, divergence report, and CSV emission."""
 
+import bisect
+import dataclasses
 import io
 import math
 import os
@@ -262,6 +264,19 @@ def counted_rows(monkeypatch):
     return rows
 
 
+def walked_rows(monkeypatch):
+    """The (lo, hi) of each ``SweepTable.rows`` call the walker makes from now on."""
+    walked = []
+    rows = SweepTable.rows
+
+    def recording(table, lo, hi):
+        walked.append((lo, hi))
+        return rows(table, lo, hi)
+
+    monkeypatch.setattr(SweepTable, "rows", recording)
+    return walked
+
+
 class TestDivergenceReport:
     def test_requires_time_mode(self):
         spec = SweepSpec(mode="field", fixed_value=1.0, start=1e-4, stop=1e-2, samples=10)
@@ -294,12 +309,13 @@ class TestDivergenceReport:
 
     def test_criterion_7_grid_evaluates_one_chunk(self, monkeypatch):
         # the improved envelope peaks below 0.5 on [0, 30] s, so that curve
-        # is never evaluated; the traditional one crosses in the first chunk
+        # is never evaluated; the traditional one crosses at row 2, in the
+        # first 64-row chunk of the walk (a whole 2,048-row chunk before)
         rows = counted_rows(monkeypatch)
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
         t_traditional, t_improved = divergence_report(spec, CONFIG, 0.5)
         assert t_improved == math.inf and t_traditional < 1e-4
-        assert rows == [sweep._CHUNK_ROWS]
+        assert rows == [64]
 
     def test_threshold_above_the_cap_evaluates_no_row(self, monkeypatch):
         # 1.0003 lies below 1 + floor, so only the cap on computed deviations
@@ -315,7 +331,10 @@ class TestDivergenceReport:
     def test_late_crossing_evaluates_at_most_two_chunks(self, monkeypatch):
         # the improved curve crosses at 23.97 s. The sine envelope's cutoff,
         # 23.95 s, lies about 2,000 rows before it; the linear one, 22.78 s,
-        # lay about 119,000 rows before, and the walk evaluated 60 chunks
+        # lay about 119,000 rows before, and the walk evaluated 60 chunks.
+        # After the traditional curve's first 64 rows, the improved curve's
+        # chunks double from 64 rows at the cutoff: one chunk's worth of rows
+        # in all, where two whole chunks (4,096 rows) were evaluated before
         b_field = 1.0559497443981638e-3
         spec = SweepSpec(mode="time", fixed_value=b_field, start=0.0, stop=30.0,
                          samples=3_000_000)
@@ -323,7 +342,7 @@ class TestDivergenceReport:
         config = HyperfineConfig(b_field=b_field)
         t_traditional, t_improved = divergence_report(spec, config, 0.5198374750692237)
         assert t_improved == 23.968957989652665 and t_traditional < 1e-4
-        assert len(rows) <= 2 and sum(rows) <= 2 * sweep._CHUNK_ROWS
+        assert rows == [64, 64, 128, 256, 512, 1024]
 
     def test_divergence_report_holds_no_grid(self):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
@@ -359,6 +378,71 @@ def time_specs(draw, max_samples=3 * sweep._CHUNK_ROWS + 100):
     samples = draw(st.one_of(st.integers(2, 64), st.integers(2, max_samples)))
     return SweepSpec(mode="time", fixed_value=b_field, start=start, stop=stop,
                      samples=samples, scale=scale)
+
+
+@st.composite
+def adjacent_log_specs(draw):
+    """Log grids whose endpoints are 1 to 3 floats apart; their log10
+    endpoints are often equal, which leaves a zero delta."""
+    start = 10.0 ** draw(st.floats(-12.0, 3.0))
+    stop = start
+    for _ in range(draw(st.integers(1, 3))):
+        stop = math.nextafter(stop, math.inf)
+    return SweepSpec(mode="time", fixed_value=1e-3, start=start, stop=stop,
+                     samples=draw(st.integers(2, 200)), scale="log")
+
+
+class TestGridBisect:
+    """_Grid.bisect equals the bisect module's on numpy's grid, reading
+    a few rows where the grid's geometry puts t."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(grid_specs(), time_specs(), adjacent_log_specs()), st.floats(0.0, 1.0))
+    # a subnormal step of 0.75 ulp rounds to 1, so the last two rows are 5
+    # and 4 ulps; one of 0.25 ulp rounds to 0; a log grid's first row is
+    # start, not 10**log10(start)
+    @example(SweepSpec(mode="time", fixed_value=1e-3, start=-2 * TINY, stop=4 * TINY,
+                       samples=9), 0.9)
+    @example(SweepSpec(mode="time", fixed_value=1e-3, start=-2 * TINY, stop=4 * TINY,
+                       samples=9), 1.0)
+    @example(SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=2 * TINY, samples=9), 0.5)
+    @example(SweepSpec(mode="time", fixed_value=1e-3, start=0.3, stop=30.0, samples=3,
+                       scale="log"), 0.0)
+    def test_bisect_equals_bisect_on_numpy_grid(self, spec, spot):
+        # t at +-inf, +-0 and below 0; at a drawn row, the first and the
+        # last row, and their neighbouring floats; before and past the grid
+        space = np.linspace if spec.scale == "linear" else np.geomspace
+        expected = space(spec.start, spec.stop, spec.samples)
+        grid, row = sweep._Grid(spec), int(spot * (spec.samples - 1))
+        width = spec.stop - spec.start
+        probes = [math.inf, -math.inf, 0.0, -0.0, -1.0, spec.start - width, spec.stop + width]
+        for value in expected[[0, max(row - 1, 0), row, min(row + 1, spec.samples - 1), -1]]:
+            value = float(value)
+            probes += [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf)]
+        for t in probes:
+            assert grid.bisect(t) == bisect.bisect_left(expected, t), t
+            assert grid.bisect(t, right=True) == bisect.bisect_right(expected, t), t
+
+    def test_bisect_reads_a_few_rows(self, monkeypatch):
+        # a full bisection of criterion 7's 3M-row grid reads 21-22 rows
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
+        grid, reads = sweep._Grid(spec), []
+        getitem = sweep._Grid.__getitem__
+
+        def counting(self, key):
+            reads.append(key)
+            return getitem(self, key)
+
+        monkeypatch.setattr(sweep._Grid, "__getitem__", counting)
+        times = np.random.default_rng(7).uniform(0.0, 30.0, 200).tolist()
+        for t in times:
+            for right in (False, True):
+                grid.bisect(t, right)
+        assert len(reads) <= 6 * 2 * len(times)
+        reads.clear()
+        for t in times:
+            bisect.bisect_left(grid, t)
+        assert len(reads) >= 21 * len(times)
 
 
 class TestAliasingPhase:
@@ -504,8 +588,12 @@ class TestPrunedDivergence:
     def test_unsafe_rows_step_back_inside_the_grid(self, t_safe, expected):
         # the run |t| <= t_safe on -4, -3, ..., 4 loses one row at each edge
         # inside the grid; a grid that starts at 0 keeps its first row skipped
-        assert sweep._unsafe_rows(np.linspace(-4.0, 4.0, 9), t_safe) == expected
-        assert sweep._unsafe_rows(np.linspace(0.0, 8.0, 9), 2.5) == [(0, 0), (2, 9)]
+        def grid(start, stop):
+            return sweep._Grid(SweepSpec(mode="time", fixed_value=1e-3, start=start, stop=stop,
+                                         samples=9))
+
+        assert sweep._unsafe_rows(grid(-4.0, 4.0), t_safe) == expected
+        assert sweep._unsafe_rows(grid(0.0, 8.0), 2.5) == [(0, 0), (2, 9)]
 
     @settings(max_examples=100, deadline=None)
     @given(time_specs(max_samples=10_000), st.integers(1, 5000))
@@ -570,21 +658,82 @@ class TestWalker:
 
     def test_time_sweep_walks_each_row_once(self, monkeypatch):
         # one walk checks both curves in each chunk and stops at the later
-        # crossing, here on criterion 7's grid: both cross in the first
-        # chunk, or the improved curve crosses in the second
-        rows = counted_rows(monkeypatch)
+        # crossing, here on criterion 7's grid: the traditional curve
+        # crosses in the first 64 rows, then the walk resumes at the improved
+        # curve's cutoff (rows 200 and 3,406) and it crosses in 64 rows more.
+        # Whole 2,048-row chunks took one chunk here, or two
+        walked = walked_rows(monkeypatch)
         t = np.linspace(0.0, 30.0, 3_000_000)
-        for b_field, threshold, crossing_rows, chunks in ((5e-3, 0.5, [5, 226], 1),
-                                                          (3e-3, 0.4, [10, 3466], 2)):
+        head = t[: 2 * sweep._CHUNK_ROWS]
+        for b_field, threshold, crossing_rows, chunks in (
+            (5e-3, 0.5, [5, 226], [(0, 64), (200, 264)]),
+            (3e-3, 0.4, [10, 3466], [(0, 64), (3406, 3470)]),
+        ):
             spec = SweepSpec(mode="time", fixed_value=b_field, start=0.0, stop=30.0,
                              samples=3_000_000)
-            head = t[: chunks * sweep._CHUNK_ROWS]
             p_exact, *others = hyperfine._normalized_triple(*constants_and_field(b_field), head)
             expected = [head[np.argmax(np.abs(p - p_exact) > threshold)] for p in others[::-1]]
-            rows.clear()
+            walked.clear()
             assert list(first_crossings(SweepTable(spec), threshold)) == expected
             assert np.searchsorted(t, expected).tolist() == crossing_rows
-            assert rows == [sweep._CHUNK_ROWS] * chunks
+            assert walked == chunks
+
+    # [0, 0.3] ns at B = 1e-2 T: both deviations rise strictly from row 1 on
+    # and stay below the envelope's floor, so no threshold between them
+    # prunes a row, and the first crossing of each is the row it picks
+    RISING = SweepSpec(mode="time", fixed_value=1e-2, start=0.0, stop=3e-10, samples=8000)
+
+    def rising_table(self):
+        table = oracles.run_sweep(self.RISING, CONFIG)
+        _, floor = hyperfine._deviation_envelope(*constants_and_field(self.RISING.fixed_value))
+        for dev in (table.dev_traditional, table.dev_improved):
+            assert np.all(np.diff(dev[1:]) > 0.0) and dev[-1] < floor
+        return table
+
+    @pytest.mark.parametrize("start", [0.0, -3e-10])
+    def test_walk_without_a_crossing_evaluates_each_unsafe_row_once(self, start, monkeypatch):
+        # no row crosses. From t = 0 the largest deviation is the threshold;
+        # it lies below the floor, so every row is unsafe. About t = 0 the
+        # threshold lies above the floor by the traditional envelope at
+        # 0.1 ns, and its cutoff leaves two ranges. The walk covers each unsafe row once, in chunks that
+        # double from 64 rows in each range, up to 2,048
+        spec = dataclasses.replace(self.RISING, start=start)
+        table = oracles.run_sweep(spec, CONFIG)
+        rates, floor = hyperfine._deviation_envelope(*constants_and_field(spec.fixed_value))
+        top = max(table.dev_traditional.max(), table.dev_improved.max())
+        threshold = top if start == 0.0 else floor + math.sin(rates[0] * 1e-10)
+        assert top <= threshold and (threshold < floor) == (start == 0.0)
+        safe = min(hyperfine._safe_time(rate, floor, threshold) for rate in rates)
+        ranges = sweep._unsafe_rows(sweep._Grid(spec), safe)
+        assert len([hi for lo, hi in ranges if hi > lo]) == (1 if start == 0.0 else 2)
+        walked = walked_rows(monkeypatch)
+        assert first_crossings(SweepTable(spec), threshold) == (math.inf, math.inf)
+        assert oracles.first_crossings(table, threshold) == (math.inf, math.inf)
+        for lo, hi in ranges:
+            chunks = [(a, b) for a, b in walked if lo <= a < hi]
+            assert [a for a, _ in chunks] == [lo] + [b for _, b in chunks[:-1]]
+            assert chunks[-1][1] == hi if chunks else lo == hi
+            sizes = [b - a for a, b in chunks]
+            assert sizes[:-1] == [64, 128, 256, 512, 1024, 2048, 2048][: len(sizes) - 1]
+            assert len(sizes) <= math.ceil((hi - lo) / sweep._CHUNK_ROWS) + 5
+        assert sum(b - a for a, b in walked) == sum(hi - lo for lo, hi in ranges)
+        if start == 0.0:
+            assert [b - a for a, b in walked] == [64, 128, 256, 512, 1024, 2048, 2048, 1920]
+
+    @pytest.mark.parametrize("row", [63, 64, 191, 192, 447, 448, 959, 960, 1983, 1984,
+                                     4031, 4032, 6079, 6080])
+    def test_crossing_on_a_chunk_boundary_equals_oracle(self, row, monkeypatch):
+        # the improved deviation one row before as threshold puts that
+        # curve's first crossing on ``row``, the last row of a chunk of the
+        # walk from row 0 or the first of the next
+        table = self.rising_table()
+        threshold = float(table.dev_improved[row - 1])
+        walked = walked_rows(monkeypatch)
+        crossings = first_crossings(SweepTable(self.RISING), threshold)
+        assert crossings == oracles.first_crossings(table, threshold)
+        assert crossings[1] == table.x[row]
+        lo, hi = next((lo, hi) for lo, hi in walked if lo <= row < hi)
+        assert row in (lo, hi - 1)
 
     def test_peak_memory_grows_only_by_the_grid(self):
         def peak(samples):
