@@ -105,17 +105,20 @@ class _Grid:
     ``np.geomspace``: row i is i * step + start, or i / div * delta + start
     where the step underflows to 0, the last row is ``stop``, and a log
     grid is 10 to the power of that over the log10 endpoints with its first
-    and last rows set to ``start`` and ``stop``.
+    and last rows set to ``start`` and ``stop``. The geometry is held in
+    Python floats, whose arithmetic is numpy's float64 arithmetic: an inner
+    row read by a Python int, as ``bisect`` reads, skips the endpoint and
+    range checks and is bit-equal to the slice path.
     """
 
     def __init__(self, spec: SweepSpec):
         self._rows = int(spec.samples)
-        start, stop = np.float64(spec.start), np.float64(spec.stop)
+        start, stop = float(spec.start), float(spec.stop)
         self._log = spec.scale == "log"
         self._exact = {self._rows - 1: stop}  # the rows numpy sets to an endpoint
         if self._log:
             self._exact[0] = start
-            start, stop = np.log10(start), np.log10(stop)
+            start, stop = float(np.log10(start)), float(np.log10(stop))
         self._start, self._div = start, self._rows - 1
         self._delta = stop - start
         self._step = self._delta / self._div
@@ -124,46 +127,16 @@ class _Grid:
         return self._rows
 
     def __getitem__(self, key):
+        if type(key) is int and 0 < key < self._div:  # an inner row: no endpoint, no wrap
+            return self._at(float(key))
         rows = range(self._rows)[key]
         if isinstance(rows, int):
-            return self._exact[rows] if rows in self._exact else self._at(np.float64(rows))
+            return self._exact[rows] if rows in self._exact else self._at(float(rows))
         y = self._at(np.arange(rows.start, rows.stop, rows.step, dtype=np.float64))
         for row, value in self._exact.items():
             if row in rows:
                 y[rows.index(row)] = value
         return y
-
-    def bisect(self, t: float, right: bool = False) -> int:
-        """``bisect.bisect_right(grid, t)`` if ``right``, else ``bisect_left``,
-        reading about six rows instead of about log2(len). The bisection's
-        steps whose middle row lies outside four rows around the row the
-        geometry guesses for t are taken unread, down to the first inside;
-        the rows just outside that step's range must bound t. Rows 1..len-2
-        ascend (as far as ``np.power`` does on a log grid), so a full
-        bisection takes the same steps. A guess that is not finite, a zero
-        delta (equal log10 endpoints) or a bad bound searches the whole grid."""
-        find, rows = (bisect.bisect_right if right else bisect.bisect_left), self._rows
-        y = t if not self._log else math.log10(t) if t > 0.0 else -math.inf
-        delta = float(self._delta)
-        guess = (y - float(self._start)) / delta * self._div if delta else math.nan
-        if not math.isfinite(guess):
-            return find(self, t)
-        # a window of rows, never empty: the first or the last row may be out of order
-        first = min(max(int(guess) - 1, 0), rows - 1)
-        last = min(first + 4, rows)
-        lo, hi = 0, rows
-        while lo < hi:  # bisect's own steps
-            mid = (lo + hi) // 2
-            if mid < first:
-                lo = mid + 1
-            elif mid >= last:
-                hi = mid
-            else:
-                break
-        before = (lambda row: not t < self[row]) if right else (lambda row: self[row] < t)
-        if (lo == 0 or before(lo - 1)) and (hi == rows or not before(hi)):
-            return find(self, t, lo, hi)
-        return find(self, t)
 
     def _at(self, i):
         """The grid at float64 row numbers ``i`` before numpy sets the endpoints."""
@@ -279,10 +252,10 @@ def divergence_report(
 
 def _unsafe_rows(grid, t_safe: float) -> list[tuple[int, int]]:
     """Row ranges of a ``_Grid`` outside the run |t| <= t_safe, which
-    is shrunk by one row at each edge that falls inside the grid. The two
-    windowed bisections of ``_Grid.bisect`` read about a dozen rows."""
-    lo = grid.bisect(-t_safe)
-    hi = grid.bisect(t_safe, right=True)
+    is shrunk by one row at each edge that falls inside the grid. Two plain
+    bisections find it, each reading about log2(len) cheap inner rows."""
+    lo = bisect.bisect_left(grid, -t_safe)
+    hi = bisect.bisect_right(grid, t_safe)
     if lo > 0:
         lo += 1
     if hi < len(grid):

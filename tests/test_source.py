@@ -87,8 +87,9 @@ def test_only_the_lazy_grid_computes_grids():
 
 
 def test_only_the_lazy_grid_bisects():
-    # _Grid.bisect starts at the row its geometry predicts and reads about
-    # six rows; a bisection anywhere else reads about log2(len)
+    # _unsafe_rows is the one lookup of the safe run: it bisects the lazy
+    # grid, whose inner rows read in Python floats; a bisection anywhere else
+    # would be a second lookup, or one over a materialised grid
     def bisections(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -105,8 +106,8 @@ def test_only_the_lazy_grid_bisects():
         for path in SOURCES
         for use in bisections(ast.parse(path.read_text(), filename=str(path)), None)
     }
-    assert found == {("sweep", "bisect_left", "_Grid.bisect"),
-                     ("sweep", "bisect_right", "_Grid.bisect")}
+    assert found == {("sweep", "bisect_left", "_unsafe_rows"),
+                     ("sweep", "bisect_right", "_unsafe_rows")}
 
 
 def callers(name):

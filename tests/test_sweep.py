@@ -153,6 +153,25 @@ class TestGrid:
         row = int(spots[-1] * (2 * n - 1)) - n
         assert np.asarray(grid[row]).view(np.uint64) == expected[row]
 
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(mode="time", fixed_value=1e-3, start=-0.7, stop=30.0, samples=10_001),
+        SweepSpec(mode="field", fixed_value=1.0, start=1e-4, stop=1e-2, samples=501,
+                  scale="log"),
+        SweepSpec(mode="time", fixed_value=1e-3, start=-2 * TINY, stop=4 * TINY, samples=9),
+    ])
+    def test_row_reads_agree_on_every_path(self, spec):
+        # a Python int inner row takes the short path; the ends, negative
+        # rows, numpy integers and slices take the general one
+        space = np.linspace if spec.scale == "linear" else np.geomspace
+        expected = space(spec.start, spec.stop, spec.samples).view(np.uint64)
+        grid, n = sweep._Grid(spec), spec.samples
+        for row in (0, 1, n // 2, n - 2, n - 1, -1, -n):
+            for value in (grid[row], grid[np.int64(row)], grid[row : row + 1 or None]):
+                assert np.asarray(value).view(np.uint64).item() == expected[row], row
+        for row in (n, -n - 1):
+            with pytest.raises(IndexError):
+                grid[row]
+
     def test_linear_matches_formula_within_one_ulp(self):
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=10001)
         grid = sweep._Grid(spec)[:]
@@ -393,8 +412,8 @@ def adjacent_log_specs(draw):
 
 
 class TestGridBisect:
-    """_Grid.bisect equals the bisect module's on numpy's grid, reading
-    a few rows where the grid's geometry puts t."""
+    """The bisect module's bisection of the lazy grid equals its bisection
+    of numpy's grid, and reads about log2(len) rows."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(grid_specs(), time_specs(), adjacent_log_specs()), st.floats(0.0, 1.0))
@@ -420,11 +439,12 @@ class TestGridBisect:
             value = float(value)
             probes += [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf)]
         for t in probes:
-            assert grid.bisect(t) == bisect.bisect_left(expected, t), t
-            assert grid.bisect(t, right=True) == bisect.bisect_right(expected, t), t
+            assert bisect.bisect_left(grid, t) == bisect.bisect_left(expected, t), t
+            assert bisect.bisect_right(grid, t) == bisect.bisect_right(expected, t), t
 
-    def test_bisect_reads_a_few_rows(self, monkeypatch):
-        # a full bisection of criterion 7's 3M-row grid reads 21-22 rows
+    def test_unsafe_rows_bisects_without_a_scan(self, monkeypatch):
+        # two bisections of criterion 7's 3M-row grid read at most
+        # ceil(log2(len)) + 1 rows each
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
         grid, reads = sweep._Grid(spec), []
         getitem = sweep._Grid.__getitem__
@@ -434,15 +454,12 @@ class TestGridBisect:
             return getitem(self, key)
 
         monkeypatch.setattr(sweep._Grid, "__getitem__", counting)
+        most = 2 * (math.ceil(math.log2(len(grid))) + 1)
         times = np.random.default_rng(7).uniform(0.0, 30.0, 200).tolist()
-        for t in times:
-            for right in (False, True):
-                grid.bisect(t, right)
-        assert len(reads) <= 6 * 2 * len(times)
-        reads.clear()
-        for t in times:
-            bisect.bisect_left(grid, t)
-        assert len(reads) >= 21 * len(times)
+        for t_safe in [0.0, 1e-5, 30.0, math.inf, *times]:
+            reads.clear()
+            sweep._unsafe_rows(grid, t_safe)
+            assert 0 < len(reads) <= most, t_safe
 
 
 class TestAliasingPhase:
@@ -636,6 +653,10 @@ class TestWalker:
             target = tmp_path / "sweep.csv"
             assert emit_csv(SweepTable(spec), target) == len(expected)
             assert target.read_bytes() == expected
+            # a text stream, as the CLI writes without --out, gets the same text
+            stream = io.StringIO()
+            assert emit_csv(SweepTable(spec), stream) == len(expected)
+            assert stream.getvalue() == expected.decode("ascii")
 
     @settings(max_examples=200, deadline=None)
     @given(time_specs(), st.floats(0.0, 1.5, exclude_min=True))
