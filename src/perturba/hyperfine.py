@@ -233,18 +233,19 @@ def angular_rates(constants: PhysicalConstants, b_field):
     return rates
 
 
-def _normalized_triple(w: float, x, hbar: float, t):
-    """Vectorized (pT, pI, p); x and t broadcast against each other."""
+def _normalized_triple(w: float, x, hbar: float, t, *, improved=True, traditional=True):
+    """Vectorized (pT, pI, p); x and t broadcast against each other. A
+    curve switched off by ``improved`` or ``traditional`` comes back None."""
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     u = (x * x) / (4.0 * w * w)
-    exact, improved = _gaps(w, x)
+    exact, gap = _gaps(w, x)
     p_exact = np.sin(exact * t / hbar) ** 2 / (1.0 + u)
-    p_improved = np.sin(improved * t / hbar) ** 2
-    # field-independent by construction: broadcasting replicates the same bits
-    p_traditional = np.broadcast_to(
-        np.sin(2.0 * w * t / hbar) ** 2, p_exact.shape
-    ).copy()
+    p_improved = np.sin(gap * t / hbar) ** 2 if improved else None
+    p_traditional = np.sin(2.0 * w * t / hbar) ** 2 if traditional else None
+    if traditional and p_traditional.shape != p_exact.shape:
+        # field-independent by construction: broadcasting replicates the same bits
+        p_traditional = np.broadcast_to(p_traditional, p_exact.shape).copy()
     return p_exact, p_improved, p_traditional
 
 

@@ -5,12 +5,14 @@ grid: a ``_Grid`` computes any slice of the abscissas on demand, bit-equal
 to numpy's ``linspace`` or ``geomspace``, and is the one place the grid's
 geometry is written down. The table refuses phases that leave float64 and
 keeps the fastest rate, which also sets its ``aliasing_phase``. One walker
-evaluates its rows, the three curves and their absolute deviations from
-the exact one, in chunks of at most ``_CHUNK_ROWS``, so neither
+splits row ranges into chunks of at most ``_CHUNK_ROWS``, so neither
 ``emit_csv`` nor ``first_crossings`` holds more than one chunk. ``emit_csv``
-takes whole chunks; ``first_crossings`` starts each range it walks at
-``_FIRST_CROSSING_ROWS`` and doubles, since a crossing often lies a few
-rows in. Output is deterministic down to the byte for identical inputs.
+takes whole chunks and evaluates each into the CSV's six columns, the
+rows, the three curves and their absolute deviations from the exact one.
+``first_crossings`` starts each range it walks at ``_FIRST_CROSSING_ROWS``
+and doubles, since a crossing often lies a few rows in, and evaluates only
+the deviations of the curves that have not crossed yet. Output is
+deterministic down to the byte for identical inputs.
 
 ``first_crossings`` owns the divergence query: it rejects a field sweep or
 a threshold that is not > 0 before it evaluates a row, skips the rows of
@@ -152,11 +154,13 @@ class SweepTable:
 
     ``x`` is a lazy grid that computes the abscissas a slice at a time;
     ``table.x[:]`` gives them as one array. ``rows(lo, hi)`` evaluates rows
-    lo..hi into a (hi - lo, 6) block in CSV column order; a row depends on
-    its grid value alone, so slices agree. InvalidSweepSpec refuses a spec
-    whose largest |rate| times largest |t| is not finite. That |rate|, kept
-    for ``aliasing_phase``, is at most the largest at the ends of the field
-    range or 3W / hbar, so the ends settle it."""
+    lo..hi into a (hi - lo, 6) block in CSV column order, and
+    ``deviations(lo, hi, curves)`` only the deviations a divergence query
+    reads; a row depends on its grid value alone, so slices agree.
+    InvalidSweepSpec refuses a spec whose largest |rate| times largest |t|
+    is not finite. That |rate|, kept for ``aliasing_phase``, is at most the
+    largest at the ends of the field range or 3W / hbar, so the ends settle
+    it."""
 
     def __init__(self, spec: SweepSpec, constants: PhysicalConstants = PhysicalConstants()):
         self.spec, self.constants, self.x = spec, constants, _Grid(spec)
@@ -186,19 +190,33 @@ class SweepTable:
         return len(self.x)
 
     def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
-        k, x, fixed = self.constants, self.x[lo:hi], self.spec.fixed_value
-        b_field, t = (fixed, x) if self.spec.mode == "time" else (x, fixed)
-        curves = _normalized_triple(k.w_ev, k.mu_e_ev_per_tesla * b_field, k.hbar_evs, t)
+        x = self.x[lo:hi]
+        curves = self._curves(x)
         return np.column_stack((x, *curves, *(np.abs(p - curves[0]) for p in curves[1:])))
 
+    def deviations(self, lo: int, hi: int, curves) -> tuple[NDArray, list[NDArray]]:
+        """The grid rows lo..hi and the absolute deviation from the exact
+        curve of each of ``curves`` in turn, 0 the traditional curve and 1
+        the improved: the bits of ``rows``' columns 5 and 4. The other
+        curve is not evaluated."""
+        x = self.x[lo:hi]
+        p_exact, improved, traditional = self._curves(x, improved=1 in curves,
+                                                      traditional=0 in curves)
+        return x, [np.abs((traditional, improved)[curve] - p_exact) for curve in curves]
 
-def _walk(table, ranges, first=_CHUNK_ROWS):
-    """(first row, ``table.rows`` block) per chunk of ``ranges``, ascending.
-    Each range's chunks start at ``first`` rows and double up to ``_CHUNK_ROWS``."""
+    def _curves(self, x, **switches):
+        k, fixed = self.constants, self.spec.fixed_value
+        b_field, t = (fixed, x) if self.spec.mode == "time" else (x, fixed)
+        return _normalized_triple(k.w_ev, k.mu_e_ev_per_tesla * b_field, k.hbar_evs, t, **switches)
+
+
+def _walk(ranges, first=_CHUNK_ROWS):
+    """The (lo, hi) chunks of ``ranges``, ascending: each range's chunks
+    start at ``first`` rows and double up to ``_CHUNK_ROWS``."""
     for lo, hi in ranges:
         start, size = lo, first
         while start < hi:
-            yield start, table.rows(start, min(start + size, hi))
+            yield start, min(start + size, hi)
             start, size = start + size, min(2 * size, _CHUNK_ROWS)
 
 
@@ -209,8 +227,9 @@ def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
     raises InvalidSweepSpec before any row is evaluated.
 
     One walk serves both curves and stops once both have crossed. It skips
-    the rows no open curve can cross, then resumes past a crossing's chunk
-    over the other curve's rows alone.
+    the rows no open curve can cross, and evaluates only the deviations of
+    the open curves: past a crossing's chunk it resumes over the other
+    curve's rows alone, and evaluates that curve alone.
     """
     if table.spec.mode != "time":
         raise InvalidSweepSpec(
@@ -226,15 +245,15 @@ def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
     done = 0  # rows below this are settled for every open curve
     while math.inf in crossings:
         open_curves = [curve for curve in (0, 1) if crossings[curve] == math.inf]
-        ranges = _unsafe_rows(table.x, min(safe[curve] for curve in open_curves))
-        walk = _walk(table, [(max(lo, done), hi) for lo, hi in ranges], _FIRST_CROSSING_ROWS)
-        for start, block in walk:
-            for curve in open_curves:  # dev_traditional is column 5, dev_improved 4
-                hits = np.flatnonzero(block[:, 5 - curve] > threshold)
+        unsafe = _unsafe_rows(table.x, min(safe[curve] for curve in open_curves))
+        for lo, hi in _walk([(max(lo, done), hi) for lo, hi in unsafe], _FIRST_CROSSING_ROWS):
+            x, deviations = table.deviations(lo, hi, open_curves)
+            for curve, deviation in zip(open_curves, deviations):
+                hits = np.flatnonzero(deviation > threshold)
                 if hits.size:
-                    crossings[curve] = float(block[hits[0], 0])
+                    crossings[curve] = float(x[hits[0]])
             if crossings.count(math.inf) < len(open_curves):
-                done = start + len(block)
+                done = hi
                 break
         else:
             break
@@ -466,11 +485,11 @@ def _write_atomically(path, write, least: int) -> int:
 def emit_csv(table: SweepTable, destination) -> int:
     """Write a table as CSV (17 significant digits, '\\n' endings); return bytes written.
 
-    ``table`` needs ``len`` and the walker's ``rows(lo, hi)``; ``destination``
-    is a path or an open text stream. Numbers round-trip bit-exactly through
-    the emitted text. Raises on an empty table before touching the
-    destination, and wraps write errors in IoFailure. A path is written
-    through a temporary file in the same directory, so a failed write
+    ``table`` needs ``len`` and ``rows(lo, hi)``, called per chunk;
+    ``destination`` is a path or an open text stream. Numbers round-trip
+    bit-exactly through the emitted text. Raises on an empty table before
+    touching the destination, and wraps write errors in IoFailure. A path is
+    written through a temporary file in the same directory, so a failed write
     leaves an existing file unchanged; it is refused up front when its
     directory cannot hold 4 bytes per value ('nan' and a separator).
     """
@@ -481,8 +500,8 @@ def emit_csv(table: SweepTable, destination) -> int:
     def blocks():
         yield (CSV_HEADER + "\n").encode("ascii")
         buffers = _CsvBuffers(min(count, _CHUNK_ROWS))
-        for _, block in _walk(table, [(0, count)]):
-            yield _format_block(block, buffers)
+        for lo, hi in _walk([(0, count)]):
+            yield _format_block(table.rows(lo, hi), buffers)
 
     try:
         if hasattr(destination, "write"):

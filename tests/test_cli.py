@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,18 @@ class TestMain:
     )
     def test_overflowing_phase_exits_one(self, capsys, args):
         assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("perturba: error: phases leave float64")
+
+    def test_window_wider_than_float64_exits_one(self, capsys):
+        # stop - start overflows to inf; the refusal comes with no warning
+        args = ["--mode", "time", "--fixed", "1e-3", "--start=-1e308", "--stop", "1e308",
+                "--samples", "3", "--threshold", "0.5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1

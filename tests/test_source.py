@@ -158,3 +158,11 @@ def test_private_imports_cross_only_where_listed():
         # the counting tests and perfbench patch sweep._normalized_triple
         ("sweep", "hyperfine"): {"_deviation_envelope", "_normalized_triple", "_safe_time"},
     }
+
+
+def test_only_emit_csv_builds_the_six_column_block():
+    # SweepTable.rows stacks the CSV's six columns; the divergence query
+    # reads only the deviations of its open curves, through
+    # SweepTable.deviations, and builds no such block
+    assert callers("rows") == [("sweep", "emit_csv.blocks")]
+    assert callers("deviations") == [("sweep", "first_crossings")]

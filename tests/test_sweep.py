@@ -10,6 +10,7 @@ import stat
 import sys
 import threading
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -270,29 +271,39 @@ class TestRunSweep:
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=-1e298, stop=0.0, samples=3)
         assert np.isfinite(whole(SweepTable(spec))).all()
 
+    def test_a_window_wider_than_float64_is_refused_without_a_warning(self):
+        # stop - start overflows to inf; the grid's geometry is held in
+        # Python floats, which never warn, so the refusal comes first
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=-1e308, stop=1e308, samples=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSweepSpec, match="phases leave float64"):
+                SweepTable(spec)
+
 
 def counted_rows(monkeypatch):
     """The row count of each curve evaluation the sweep makes from now on."""
     rows = []
 
-    def counting(w, x, hbar, t):
+    def counting(w, x, hbar, t, **switches):
         rows.append(len(t))
-        return hyperfine._normalized_triple(w, x, hbar, t)
+        return hyperfine._normalized_triple(w, x, hbar, t, **switches)
 
     monkeypatch.setattr(sweep, "_normalized_triple", counting)
     return rows
 
 
 def walked_rows(monkeypatch):
-    """The (lo, hi) of each ``SweepTable.rows`` call the walker makes from now on."""
+    """The (lo, hi) of each ``SweepTable.deviations`` call the divergence
+    walk makes from now on."""
     walked = []
-    rows = SweepTable.rows
+    deviations = SweepTable.deviations
 
-    def recording(table, lo, hi):
+    def recording(table, lo, hi, curves):
         walked.append((lo, hi))
-        return rows(table, lo, hi)
+        return deviations(table, lo, hi, curves)
 
-    monkeypatch.setattr(SweepTable, "rows", recording)
+    monkeypatch.setattr(SweepTable, "deviations", recording)
     return walked
 
 
@@ -699,6 +710,25 @@ class TestWalker:
             assert np.searchsorted(t, expected).tolist() == crossing_rows
             assert walked == chunks
 
+    def test_a_crossed_curve_is_not_evaluated_again(self, monkeypatch):
+        # criterion 7's grid at B = 5e-3 T: the traditional curve crosses in
+        # the first chunk, so the chunk at the improved curve's cutoff asks
+        # for the improved curve alone
+        walked = walked_rows(monkeypatch)
+        switches = []
+
+        def recording(w, x, hbar, t, *, improved=True, traditional=True):
+            switches.append((len(t), improved, traditional))
+            return hyperfine._normalized_triple(w, x, hbar, t, improved=improved,
+                                                traditional=traditional)
+
+        monkeypatch.setattr(sweep, "_normalized_triple", recording)
+        spec = SweepSpec(mode="time", fixed_value=5e-3, start=0.0, stop=30.0, samples=3_000_000)
+        t_traditional, t_improved = first_crossings(SweepTable(spec), 0.5)
+        assert t_traditional < t_improved < math.inf
+        assert walked == [(0, 64), (200, 264)]
+        assert switches == [(64, True, True), (64, True, False)]
+
     # [0, 0.3] ns at B = 1e-2 T: both deviations rise strictly from row 1 on
     # and stay below the envelope's floor, so no threshold between them
     # prunes a row, and the first crossing of each is the row it picks
@@ -771,6 +801,44 @@ class TestWalker:
         # the lazy grid holds no row; an eager grid would add 2.4 MB, and a
         # whole table six columns of 2.4 MB each
         assert growth < 256 * 1024
+
+
+class TestCurveSelection:
+    """The curves a divergence query leaves out change no bit of the ones it
+    evaluates: they equal the full triple's, and the CSV block's deviations."""
+
+    @staticmethod
+    def assert_bits(got, want):
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                      np.asarray(want).view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(time_specs(), st.floats(-6.0, 1.0).map(lambda k: 10.0**k))
+    # at this field Python's float x**4 differs from numpy's 0-d x**4, and
+    # the improved curve differs in 1,990 of these 2,048 rows with it
+    @example(SweepSpec(mode="time", fixed_value=0.0, start=0.0, stop=1e-6, samples=2048),
+             0.09465837460713569)
+    def test_selected_curves_keep_their_bits(self, spec, b_field):
+        table = SweepTable(dataclasses.replace(spec, fixed_value=b_field))
+        t = table.x[:]
+        w, x, hbar = constants_and_field(b_field)
+        full = hyperfine._normalized_triple(w, x, hbar, t)
+        for improved, traditional in ((True, False), (False, True), (False, False)):
+            some = hyperfine._normalized_triple(w, x, hbar, t, improved=improved,
+                                                traditional=traditional)
+            self.assert_bits(some[0], full[0])
+            for kept, got, want in zip((improved, traditional), some[1:], full[1:]):
+                if kept:
+                    self.assert_bits(got, want)
+                else:
+                    assert got is None
+        block = table.rows(0, len(table))
+        for curves in ([0, 1], [0], [1]):
+            rows, deviations = table.deviations(0, len(table), curves)
+            self.assert_bits(rows, block[:, 0])
+            assert len(deviations) == len(curves)
+            for curve, deviation in zip(curves, deviations):  # dev_traditional is column 5
+                self.assert_bits(deviation, block[:, 5 - curve])
 
 
 class TestEmitCsv:
