@@ -18,6 +18,7 @@ directory without room for the CSV).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -95,6 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: main's parser, built on its first call and reused: parse_args keeps no state
+_parser = functools.cache(build_parser)
+
+
 def _resolve_fixed(args, config_values) -> float:
     if args.fixed is not None:
         return args.fixed
@@ -106,9 +111,8 @@ def _resolve_fixed(args, config_values) -> float:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
 
         config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
         config_values = load_config(config_path) if config_path else {}

@@ -43,8 +43,9 @@ class PhysicalConstants:
     """CODATA inputs in SI units plus the derived eV-based quantities.
 
     Defaults are the 2002 recommended values; every field can be
-    overridden (e.g. from a CLI config file) to track revisions. Each
-    must be finite and positive, else ValueError.
+    overridden (e.g. from a CLI config file) to track revisions. Each,
+    and each derived eV quantity, must be finite and positive, else
+    ValueError.
     """
 
     mu_e: float = 9.28476412e-24  # electron magnetic moment magnitude, J/T
@@ -57,6 +58,10 @@ class PhysicalConstants:
             value = getattr(self, constant.name)
             if not 0.0 < value < math.inf:  # also false for nan
                 raise ValueError(f"{constant.name} must be finite and > 0, got {value}")
+        for name in ("mu_e_ev_per_tesla", "hbar_evs", "w_ev"):  # may under- or overflow
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"derived {name} must be finite and > 0, got {value}")
 
     @property
     def mu_e_ev_per_tesla(self) -> float:

@@ -20,9 +20,14 @@ the time sweep that the certified deviation envelope of
 ``hyperfine._deviation_envelope`` proves cannot cross, as inverted by
 ``hyperfine._safe_time``, and stops at the first crossing.
 
-CSV text is the bytes of ``'%.16e'`` per value, computed chunk by chunk
-with exact integer arithmetic in memory each ``emit_csv`` call allocates
-once; the comment above the kernel's tables states its rules. Files are
+CSV text is the bytes of ``'%.16e'`` per value, written chunk by chunk
+into sign-less fields of memory each ``emit_csv`` call allocates once, in
+one of three ways: by exact integer arithmetic where 1e-11 <= |v| < 1e17
+or v is zero, the kernel whose rules the comment above its tables states;
+by ``'%.16e'`` written into the field where the value lies outside that
+window and its text still has the field's width, a two-digit exponent;
+and by splicing ``'%.16e'``'s text of a whole row in where a value's
+text has another width (nan, inf, a three-digit exponent). Files are
 written to a temporary file beside the destination and moved into place,
 once the directory has room for the smallest CSV the table could give.
 """
@@ -32,6 +37,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import errno
+import itertools
 import math
 import numbers
 import os
@@ -304,7 +310,8 @@ def _unsafe_rows(grid, t_safe: float) -> list[tuple[int, int]]:
 # multiplier keeps <= 6 bits and its product with M stays in the low word.
 # A zero (e = 0, M = 2**52) reads multiplier 0 and exponent e+00. An
 # exponent word of 0 marks a value outside the window, a subnormal (e = 0,
-# M > 2**52), nan or inf: its row takes the '%' format.
+# M > 2**52), nan or inf: its field takes '%.16e' of |v| where that text
+# is 22 bytes (a two-digit exponent), else its row takes the '%' format.
 _MAX_P = 27
 _FRACTION, _HIDDEN = (1 << 52) - 1, 1 << 52
 _DECADE = np.full(4096, 1 << 53, dtype=np.uint64)  # 2**53: no M reaches it
@@ -363,9 +370,13 @@ class _CsvBuffers:
 
 
 def _format_block(block: NDArray[np.float64], buffers: _CsvBuffers) -> bytes | NDArray[np.uint8]:
-    """CSV text of a (rows, 6) block, byte-identical to '%.16e' per value;
-    a view of ``buffers.text``, valid until their next use, if it needs no
-    sign or '%' row."""
+    """CSV text of a (rows, 6) block, byte-identical to '%.16e' per value.
+
+    The kernel writes every value in its window; '%.16e' of |v| is written
+    into the field of a value outside it whose text has the field's width;
+    a row holding text of another width (nan, inf, three exponent digits)
+    is spliced in whole. The result is a view of ``buffers.text``, valid
+    until their next use, if it needs no sign and no splice."""
     rows = block.shape[0]
     values = block.reshape(-1)
     bits, n = values.view(np.uint64), values.size
@@ -427,13 +438,21 @@ def _format_block(block: NDArray[np.float64], buffers: _CsvBuffers) -> bytes | N
     np.take(_EXPONENT, lookup, out=ascii, mode="clip")
     np.copyto(buffers.exponent[:n], ascii)
     np.equal(ascii, np.uint32(0), out=flags)
+    if flags.any():  # '%' text of a value outside the window, in its field if 22 bytes
+        outside = np.flatnonzero(flags)
+        texts = ["%.16e" % v for v in np.abs(values[outside]).tolist()]
+        fits = np.array([len(text) == _FIELD - 1 for text in texts])
+        in_place = outside[fits]
+        flags[in_place] = False
+        joined = "".join(itertools.compress(texts, fits)).encode("ascii")
+        buffers.text[in_place, :-1] = np.frombuffer(joined, np.uint8).reshape(-1, _FIELD - 1)
     np.signbit(values, out=negative)
     text = buffers.text[:n].reshape(-1)
     if negative.any():
         text = np.insert(text, np.flatnonzero(negative) * _FIELD, ord("-"))
     if not flags.any():
         return text
-    # splice the '%' row format in for rows holding a value outside the window
+    # splice the '%' row format in for rows holding text of another width
     row_ends = np.cumsum(negative.reshape(rows, -1).sum(axis=1) + _ROW_BYTES)
     row_starts = np.concatenate(([0], row_ends[:-1]))
     pieces, start = [], 0

@@ -22,7 +22,7 @@ from perturba import (
     hyperfine,
     sweep,
 )
-from perturba.cli import CONFIG_ENV_VAR, main, parse_config_text
+from perturba.cli import CONFIG_ENV_VAR, build_parser, main, parse_config_text
 
 BASE_ARGS = ["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1e-8", "--samples", "64"]
 
@@ -203,6 +203,30 @@ class TestMain:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("perturba: error: ") and "must be finite and > 0" in err
+
+    def test_constants_whose_hbar_underflows_exit_one(self, tmp_path, capsys):
+        # both inputs are valid alone; hbar in eV s underflows to 0
+        config = tmp_path / "constants.cfg"
+        config.write_text("planck_h = 1e-320\nelementary_charge = 1e300\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["--config", str(config)] + BASE_ARGS + ["--out", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "perturba: error: derived hbar_evs must be finite and > 0, got 0.0"
+        ]
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # main builds its parser once; a flag given to one call does not
+        # reach the next
+        out = tmp_path / "sweep.csv"
+        assert main(BASE_ARGS + ["--threshold", "2.0", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("first_crossing_traditional = ")
+        assert main(BASE_ARGS + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")] + BASE_ARGS) == 2

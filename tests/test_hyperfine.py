@@ -77,6 +77,21 @@ class TestConstants:
         with pytest.raises(ValueError, match=name):
             PhysicalConstants(**{name: value})
 
+    @pytest.mark.parametrize(
+        "inputs, name",
+        [
+            ({"planck_h": 1e-320, "elementary_charge": 1e300}, "hbar_evs"),
+            ({"planck_h": 1e10, "delta_nu_h": 1e300}, "w_ev"),
+            ({"planck_h": 1e-300, "delta_nu_h": 1e-30}, "w_ev"),
+            ({"mu_e": 1e-320, "elementary_charge": 1e10}, "mu_e_ev_per_tesla"),
+            ({"mu_e": 1e300, "elementary_charge": 1e-300}, "mu_e_ev_per_tesla"),
+        ],
+    )
+    def test_derived_quantities_must_be_finite_and_positive(self, inputs, name):
+        # each input is finite and > 0, but a derived eV quantity is 0 or inf
+        with pytest.raises(ValueError, match=f"derived {name} must be finite and > 0"):
+            PhysicalConstants(**inputs)
+
     def test_negative_field_rejected(self):
         with pytest.raises(ValueError):
             HyperfineConfig(b_field=-1e-3)

@@ -930,6 +930,12 @@ def columns_of(table):
     )
 
 
+#: a time sweep shaped like the slowest tenth of cli_sweep_csv calls: deviations
+#: near the curves' nodes fall below 1e-11, outside the exact kernel's window
+TINY_VALUE_SWEEP = SweepSpec(mode="time", fixed_value=1.16e-4, start=0.0, stop=7.67e-6,
+                             samples=3 * sweep._CHUNK_ROWS + 1)
+
+
 class TestCsvKernel:
     """The vectorized formatter against the one-call-per-value reference."""
 
@@ -1013,6 +1019,39 @@ class TestCsvKernel:
         assert len(ties) > 300
         assert_matches_reference(signed_rows(ties))
 
+    def test_two_digit_exponents_outside_the_window_stay_in_place(self):
+        # a chunk of nonnegative values outside the window whose text has
+        # the field's width comes back as a view of the reused buffers
+        size = sweep._CHUNK_ROWS
+        rng = np.random.default_rng(26)
+        tiny = np.clip(10.0 ** rng.uniform(-99, -11, (size, 3)), 1e-99, np.nextafter(1e-11, 0))
+        huge = np.clip(10.0 ** rng.uniform(17, 100, (size, 3)), 1e17, np.nextafter(1e100, 0))
+        block = np.concatenate((tiny, huge), axis=1)
+        rng.shuffle(block, axis=1)
+        assert {len("%.16e" % v) for v in block.ravel().tolist()} == {sweep._FIELD - 1}
+        buffers = sweep._CsvBuffers(size)
+        text = sweep._format_block(block, buffers)
+        assert np.shares_memory(text, buffers.text)
+        assert bytes(text) == reference_csv_rows(block.tolist()).encode("ascii")
+
+    def test_signs_and_text_of_another_width_outside_the_window(self):
+        # three-digit exponents, subnormals, nan and inf change the width and
+        # take the row splice; two-digit ones beside them are written in place
+        carries = [
+            value
+            for k in range(-330, 309)
+            for value in (float(f"1e{k}"), float(np.nextafter(float(f"1e{k}"), 0.0)))
+            if "%.16e" % value == "1.0000000000000000e%+03d" % k
+            and Fraction(value) < Fraction(10) ** k
+        ]
+        odd = [1e-100, 1e100, 5e-324, math.nan, -math.nan, math.inf, -math.inf] + carries
+        rng = np.random.default_rng(27)
+        block = 10.0 ** rng.uniform(-99, 100, (sweep._CHUNK_ROWS, 6))
+        block[rng.random(block.shape) < 0.5] *= -1.0
+        odd = np.repeat(odd, 4) * np.tile([1.0, -1.0], 2 * len(odd))  # each of both signs
+        block.ravel()[rng.choice(block.size, len(odd), replace=False)] = odd
+        assert_matches_reference(block)
+
     @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
     def test_fallback_rows_at_block_edges(self, blocks, extra):
         # 2,047, 2,048, 2,049 and 4,097 rows: one chunk of the walker is a block
@@ -1079,6 +1118,15 @@ class TestCsvKernel:
             tracemalloc.stop()
         assert peak <= old_peak_kib * 1024
 
+    def test_tiny_value_sweep_has_tiny_values_in_two_chunks(self):
+        table, size = SweepTable(TINY_VALUE_SWEEP), sweep._CHUNK_ROWS
+        tiny = [
+            np.any((block != 0.0) & (np.abs(block) < 1e-11))
+            for block in (table.rows(lo, min(lo + size, len(table)))
+                          for lo in range(0, len(table), size))
+        ]
+        assert sum(tiny) >= 2
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -1088,6 +1136,7 @@ class TestCsvKernel:
             SweepSpec(
                 mode="field", fixed_value=3e-7, start=1e-4, stop=1e-2, samples=2500, scale="log"
             ),
+            TINY_VALUE_SWEEP,
         ],
     )
     def test_whole_sweep_tables(self, spec, tmp_path):
