@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -34,6 +35,11 @@ _CONFIG_KEYS = _CONSTANT_KEYS + ("b_field",)
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse takes -1 but not -2e-6 for a value; no option here looks like a number
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with status 2 on bad flags; route that through the
     # validation path (exit 1) instead, keeping 2 for genuine I/O trouble.
     def error(self, message):

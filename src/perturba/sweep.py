@@ -10,15 +10,16 @@ splits row ranges into chunks of at most ``_CHUNK_ROWS``, so neither
 takes whole chunks and evaluates each into the CSV's six columns, the
 rows, the three curves and their absolute deviations from the exact one.
 ``first_crossings`` starts each range it walks at ``_FIRST_CROSSING_ROWS``
-and doubles, since a crossing often lies a few rows in, and evaluates only
-the deviations of the curves that have not crossed yet. Output is
+and doubles, since a crossing often lies a few rows in. Output is
 deterministic down to the byte for identical inputs.
 
 ``first_crossings`` owns the divergence query: it rejects a field sweep or
-a threshold that is not > 0 before it evaluates a row, skips the rows of
-the time sweep that the certified deviation envelope of
-``hyperfine._deviation_envelope`` proves cannot cross, as inverted by
-``hyperfine._safe_time``, and stops at the first crossing.
+a threshold that is not > 0 before it evaluates a row, then walks each
+curve alone over the rows of the time sweep that its certified deviation
+envelope (``hyperfine._deviation_envelope``, inverted by ``_safe_time``)
+leaves open, and stops at that curve's first crossing. A curve certified
+on every row is never evaluated; where both are open over the same rows,
+the exact curve is computed once per walk.
 
 CSV text is the bytes of ``'%.16e'`` per value, written chunk by chunk
 into sign-less fields of memory each ``emit_csv`` call allocates once, in
@@ -63,8 +64,8 @@ _SCALES = ("linear", "log")
 #: rows and 5-7% faster at 4,096, whose buffers are twice the size
 _CHUNK_ROWS = 2048
 #: the first chunk of each range first_crossings walks; later ones double.
-#: Over 320 seeded queries on criterion 7's grid, p90 per call was 0.50-0.55
-#: ms at 64 rows, 0.63-0.69 at 16, 0.51-0.54 at 256 and 0.85-0.95 at 2,048
+#: Over 320 seeded queries on criterion 7's grid, p90 per call was 0.14-0.15
+#: ms at 64 rows, 0.16-0.17 at 16, 0.16 at 256 and 0.28 at 2,048 (2-core Xeon)
 _FIRST_CROSSING_ROWS = 64
 
 
@@ -161,7 +162,7 @@ class SweepTable:
     ``x`` is a lazy grid that computes the abscissas a slice at a time;
     ``table.x[:]`` gives them as one array. ``rows(lo, hi)`` evaluates rows
     lo..hi into a (hi - lo, 6) block in CSV column order, and
-    ``deviations(lo, hi, curves)`` only the deviations a divergence query
+    ``deviation(lo, hi, curve)`` only the one deviation a divergence walk
     reads; a row depends on its grid value alone, so slices agree.
     InvalidSweepSpec refuses a spec whose largest |rate| times largest |t|
     is not finite. That |rate|, kept for ``aliasing_phase``, is at most the
@@ -200,15 +201,14 @@ class SweepTable:
         curves = self._curves(x)
         return np.column_stack((x, *curves, *(np.abs(p - curves[0]) for p in curves[1:])))
 
-    def deviations(self, lo: int, hi: int, curves) -> tuple[NDArray, list[NDArray]]:
+    def deviation(self, lo: int, hi: int, curve: int) -> tuple[NDArray, NDArray]:
         """The grid rows lo..hi and the absolute deviation from the exact
-        curve of each of ``curves`` in turn, 0 the traditional curve and 1
-        the improved: the bits of ``rows``' columns 5 and 4. The other
-        curve is not evaluated."""
+        curve of ``curve``, 0 the traditional curve and 1 the improved: the
+        bits of ``rows``' column 5 or 4. The other curve is not evaluated."""
         x = self.x[lo:hi]
-        p_exact, improved, traditional = self._curves(x, improved=1 in curves,
-                                                      traditional=0 in curves)
-        return x, [np.abs((traditional, improved)[curve] - p_exact) for curve in curves]
+        p_exact, improved, traditional = self._curves(x, improved=curve == 1,
+                                                      traditional=curve == 0)
+        return x, np.abs((traditional, improved)[curve] - p_exact)
 
     def _curves(self, x, **switches):
         k, fixed = self.constants, self.spec.fixed_value
@@ -230,12 +230,10 @@ def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
     """(traditional, improved): the first time where each deviation of a
     time sweep exceeds ``threshold``, scanning ascending; math.inf when none
     does. A field sweep, or a threshold that is not > 0 (nan included),
-    raises InvalidSweepSpec before any row is evaluated.
-
-    One walk serves both curves and stops once both have crossed. It skips
-    the rows no open curve can cross, and evaluates only the deviations of
-    the open curves: past a crossing's chunk it resumes over the other
-    curve's rows alone, and evaluates that curve alone.
+    raises InvalidSweepSpec before any row is evaluated. Each curve is
+    walked alone over the rows its certificate leaves open: a curve
+    certified on every row is never evaluated, and where both are open over
+    the same rows the exact curve is computed once per walk.
     """
     if table.spec.mode != "time":
         raise InvalidSweepSpec(
@@ -246,24 +244,19 @@ def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
     k = table.constants
     x_ev = k.mu_e_ev_per_tesla * table.spec.fixed_value
     rates, floor = _deviation_envelope(k.w_ev, x_ev, k.hbar_evs)
-    safe = [_safe_time(rate, floor, threshold) for rate in rates]
-    crossings = [math.inf, math.inf]
-    done = 0  # rows below this are settled for every open curve
-    while math.inf in crossings:
-        open_curves = [curve for curve in (0, 1) if crossings[curve] == math.inf]
-        unsafe = _unsafe_rows(table.x, min(safe[curve] for curve in open_curves))
-        for lo, hi in _walk([(max(lo, done), hi) for lo, hi in unsafe], _FIRST_CROSSING_ROWS):
-            x, deviations = table.deviations(lo, hi, open_curves)
-            for curve, deviation in zip(open_curves, deviations):
-                hits = np.flatnonzero(deviation > threshold)
-                if hits.size:
-                    crossings[curve] = float(x[hits[0]])
-            if crossings.count(math.inf) < len(open_curves):
-                done = hi
-                break
-        else:
-            break
-    return crossings[0], crossings[1]
+    return tuple(_first_crossing(table, curve, _safe_time(rate, floor, threshold), threshold)
+                 for curve, rate in enumerate(rates))
+
+
+def _first_crossing(table: SweepTable, curve: int, t_safe: float, threshold: float) -> float:
+    """The first grid time where ``curve``'s deviation exceeds ``threshold``,
+    walking the rows outside its certified run |t| <= t_safe; else math.inf."""
+    for lo, hi in _walk(_unsafe_rows(table.x, t_safe), _FIRST_CROSSING_ROWS):
+        x, deviation = table.deviation(lo, hi, curve)
+        hits = np.flatnonzero(deviation > threshold)
+        if hits.size:
+            return float(x[hits[0]])
+    return math.inf
 
 
 def divergence_report(

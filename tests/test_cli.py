@@ -228,6 +228,19 @@ class TestMain:
         assert cli._parser() is cli._parser()
         assert build_parser() is not build_parser()
 
+    @pytest.mark.parametrize("value", ["-2e-6", "-.5E+3", "-1.", "-3E7"])
+    def test_negative_value_in_scientific_notation_is_a_value(self, tmp_path, value):
+        # argparse reads only -1 and -.5 as negative numbers; the separated
+        # form of any other float must give the bytes of the joined one
+        written = []
+        for start in (["--start", value], [f"--start={value}"]):
+            out = tmp_path / "sweep.csv"
+            args = ["--mode", "time", "--fixed", "1e-3", *start, "--stop", "0", "--samples", "2"]
+            assert main(args + ["--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert read_csv(tmp_path / "sweep.csv")[0, 0] == float(value)
+
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")] + BASE_ARGS) == 2
 

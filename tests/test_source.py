@@ -162,7 +162,13 @@ def test_private_imports_cross_only_where_listed():
 
 def test_only_emit_csv_builds_the_six_column_block():
     # SweepTable.rows stacks the CSV's six columns; the divergence query
-    # reads only the deviations of its open curves, through
-    # SweepTable.deviations, and builds no such block
+    # walks each curve alone, reads only that curve's deviation through
+    # SweepTable.deviation, and builds no such block
     assert callers("rows") == [("sweep", "emit_csv.blocks")]
-    assert callers("deviations") == [("sweep", "first_crossings")]
+    assert callers("deviation") == [("sweep", "_first_crossing")]
+
+
+def test_only_the_per_curve_walk_looks_up_unsafe_rows():
+    # each curve's walk looks up the rows its own certificate leaves open;
+    # no other code chooses which rows a divergence query evaluates
+    assert callers("_unsafe_rows") == [("sweep", "_first_crossing")]

@@ -293,17 +293,18 @@ def counted_rows(monkeypatch):
     return rows
 
 
-def walked_rows(monkeypatch):
-    """The (lo, hi) of each ``SweepTable.deviations`` call the divergence
-    walk makes from now on."""
+def walked_rows(monkeypatch, curve=None):
+    """The (lo, hi) of each ``SweepTable.deviation`` call the divergence
+    walks make from now on, or of those of ``curve`` alone."""
     walked = []
-    deviations = SweepTable.deviations
+    deviation = SweepTable.deviation
 
-    def recording(table, lo, hi, curves):
-        walked.append((lo, hi))
-        return deviations(table, lo, hi, curves)
+    def recording(table, lo, hi, of):
+        if curve in (None, of):
+            walked.append((lo, hi))
+        return deviation(table, lo, hi, of)
 
-    monkeypatch.setattr(SweepTable, "deviations", recording)
+    monkeypatch.setattr(SweepTable, "deviation", recording)
     return walked
 
 
@@ -689,11 +690,11 @@ class TestWalker:
         assert rows == []
 
     def test_time_sweep_walks_each_row_once(self, monkeypatch):
-        # one walk checks both curves in each chunk and stops at the later
-        # crossing, here on criterion 7's grid: the traditional curve
-        # crosses in the first 64 rows, then the walk resumes at the improved
-        # curve's cutoff (rows 200 and 3,406) and it crosses in 64 rows more.
-        # Whole 2,048-row chunks took one chunk here, or two
+        # each curve is walked alone and stops at its own crossing, here on
+        # criterion 7's grid: the traditional curve crosses in its first 64
+        # rows, the improved curve's walk starts at its cutoff (rows 200 and
+        # 3,406) and it crosses in 64 rows. Whole 2,048-row chunks took one
+        # chunk here, or two
         walked = walked_rows(monkeypatch)
         t = np.linspace(0.0, 30.0, 3_000_000)
         head = t[: 2 * sweep._CHUNK_ROWS]
@@ -712,8 +713,8 @@ class TestWalker:
 
     def test_a_crossed_curve_is_not_evaluated_again(self, monkeypatch):
         # criterion 7's grid at B = 5e-3 T: the traditional curve crosses in
-        # the first chunk, so the chunk at the improved curve's cutoff asks
-        # for the improved curve alone
+        # its first chunk, which evaluates it alone, and the chunk at the
+        # improved curve's cutoff evaluates the improved curve alone
         walked = walked_rows(monkeypatch)
         switches = []
 
@@ -727,7 +728,27 @@ class TestWalker:
         t_traditional, t_improved = first_crossings(SweepTable(spec), 0.5)
         assert t_traditional < t_improved < math.inf
         assert walked == [(0, 64), (200, 264)]
-        assert switches == [(64, True, True), (64, True, False)]
+        assert switches == [(64, False, True), (64, True, False)]
+
+    def test_a_curve_certified_on_every_row_is_never_evaluated(self, monkeypatch):
+        # at 1e-3 T and threshold 1.0 the improved curve is certified on all
+        # of [0, 30] s, while no row certifies the traditional curve, which
+        # never crosses: its walk evaluates every row, and the improved
+        # curve none
+        switches = []
+
+        def recording(w, x, hbar, t, *, improved=True, traditional=True):
+            switches.append((len(t), improved, traditional))
+            return hyperfine._normalized_triple(w, x, hbar, t, improved=improved,
+                                                traditional=traditional)
+
+        monkeypatch.setattr(sweep, "_normalized_triple", recording)
+        spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=200_000)
+        rates, floor = hyperfine._deviation_envelope(*constants_and_field(1e-3))
+        assert hyperfine._safe_time(rates[1], floor, 1.0) > 30.0
+        assert first_crossings(SweepTable(spec), 1.0) == (math.inf, math.inf)
+        assert sum(rows for rows, _, _ in switches) == spec.samples
+        assert not any(improved for _, improved, _ in switches)
 
     # [0, 0.3] ns at B = 1e-2 T: both deviations rise strictly from row 1 on
     # and stay below the envelope's floor, so no threshold between them
@@ -744,9 +765,11 @@ class TestWalker:
     @pytest.mark.parametrize("start", [0.0, -3e-10])
     def test_walk_without_a_crossing_evaluates_each_unsafe_row_once(self, start, monkeypatch):
         # no row crosses. From t = 0 the largest deviation is the threshold;
-        # it lies below the floor, so every row is unsafe. About t = 0 the
-        # threshold lies above the floor by the traditional envelope at
-        # 0.1 ns, and its cutoff leaves two ranges. The walk covers each unsafe row once, in chunks that
+        # it lies below the floor, so every row is unsafe for both curves.
+        # About t = 0 the threshold lies above the floor by the traditional
+        # envelope at 0.1 ns: its cutoff leaves that curve two ranges, and
+        # the improved curve, whose cutoff lies past the grid, none. Each
+        # curve's walk covers each of its unsafe rows once, in chunks that
         # double from 64 rows in each range, up to 2,048
         spec = dataclasses.replace(self.RISING, start=start)
         table = oracles.run_sweep(spec, CONFIG)
@@ -754,22 +777,25 @@ class TestWalker:
         top = max(table.dev_traditional.max(), table.dev_improved.max())
         threshold = top if start == 0.0 else floor + math.sin(rates[0] * 1e-10)
         assert top <= threshold and (threshold < floor) == (start == 0.0)
-        safe = min(hyperfine._safe_time(rate, floor, threshold) for rate in rates)
-        ranges = sweep._unsafe_rows(sweep._Grid(spec), safe)
-        assert len([hi for lo, hi in ranges if hi > lo]) == (1 if start == 0.0 else 2)
-        walked = walked_rows(monkeypatch)
+        walked = [walked_rows(monkeypatch, curve) for curve in (0, 1)]
         assert first_crossings(SweepTable(spec), threshold) == (math.inf, math.inf)
         assert oracles.first_crossings(table, threshold) == (math.inf, math.inf)
-        for lo, hi in ranges:
-            chunks = [(a, b) for a, b in walked if lo <= a < hi]
-            assert [a for a, _ in chunks] == [lo] + [b for _, b in chunks[:-1]]
-            assert chunks[-1][1] == hi if chunks else lo == hi
-            sizes = [b - a for a, b in chunks]
-            assert sizes[:-1] == [64, 128, 256, 512, 1024, 2048, 2048][: len(sizes) - 1]
-            assert len(sizes) <= math.ceil((hi - lo) / sweep._CHUNK_ROWS) + 5
-        assert sum(b - a for a, b in walked) == sum(hi - lo for lo, hi in ranges)
-        if start == 0.0:
-            assert [b - a for a, b in walked] == [64, 128, 256, 512, 1024, 2048, 2048, 1920]
+        for curve, rate in enumerate(rates):
+            ranges = sweep._unsafe_rows(sweep._Grid(spec), hyperfine._safe_time(rate, floor,
+                                                                                  threshold))
+            opened = [(lo, hi) for lo, hi in ranges if hi > lo]
+            assert len(opened) == ([1, 1] if start == 0.0 else [2, 0])[curve]
+            for lo, hi in opened:
+                chunks = [(a, b) for a, b in walked[curve] if lo <= a < hi]
+                assert [a for a, _ in chunks] == [lo] + [b for _, b in chunks[:-1]]
+                assert chunks[-1][1] == hi
+                sizes = [b - a for a, b in chunks]
+                assert sizes[:-1] == [64, 128, 256, 512, 1024, 2048, 2048][: len(sizes) - 1]
+                assert len(sizes) <= math.ceil((hi - lo) / sweep._CHUNK_ROWS) + 5
+            assert sum(b - a for a, b in walked[curve]) == sum(hi - lo for lo, hi in ranges)
+            if start == 0.0:
+                sizes = [b - a for a, b in walked[curve]]
+                assert sizes == [64, 128, 256, 512, 1024, 2048, 2048, 1920]
 
     @pytest.mark.parametrize("row", [63, 64, 191, 192, 447, 448, 959, 960, 1983, 1984,
                                      4031, 4032, 6079, 6080])
@@ -833,12 +859,10 @@ class TestCurveSelection:
                 else:
                     assert got is None
         block = table.rows(0, len(table))
-        for curves in ([0, 1], [0], [1]):
-            rows, deviations = table.deviations(0, len(table), curves)
+        for curve in (0, 1):
+            rows, deviation = table.deviation(0, len(table), curve)
             self.assert_bits(rows, block[:, 0])
-            assert len(deviations) == len(curves)
-            for curve, deviation in zip(curves, deviations):  # dev_traditional is column 5
-                self.assert_bits(deviation, block[:, 5 - curve])
+            self.assert_bits(deviation, block[:, 5 - curve])  # dev_traditional is column 5
 
 
 class TestEmitCsv:
