@@ -35,10 +35,13 @@ _CONFIG_KEYS = _CONSTANT_KEYS + ("b_field",)
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse takes -1 but not -2e-6 for a value; no option here looks like a number
+    # argparse takes -1 but not -2e-6 or -inf for a value; no option here
+    # looks like a number, so every negative spelling float() reads is one
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$"
+        )
 
     # argparse exits with status 2 on bad flags; route that through the
     # validation path (exit 1) instead, keeping 2 for genuine I/O trouble.

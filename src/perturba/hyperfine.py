@@ -28,7 +28,7 @@ moment is negative; only |mu_e| appears here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -79,10 +79,15 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class HyperfineConfig:
-    """A field magnitude (tesla, +z direction) plus the constants to use."""
+    """A field magnitude (tesla, +z direction) plus the constants to use.
+
+    Configs built without ``constants`` share one default
+    ``PhysicalConstants()``, validated once at import; it is frozen, so
+    sharing it is safe.
+    """
 
     b_field: float
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
+    constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self):
         if not (np.isfinite(self.b_field) and self.b_field >= 0.0):

@@ -22,15 +22,17 @@ A problem built by its caller is validated once, at construction, through
 sum real up to roundoff, so the sums keep their real parts unchecked. Its
 diagonal, e0 + diag(h1) or d + diag(g1), must be finite, and a caller-built
 ``RedividedProblem`` needs a zero g1 diagonal, so no G path hops from a
-level to itself. ``redivide``'s output is checked only for its finite
-diagonal. Past this gate the G sums, the first-order envelope and the exact
-angular argument raise ValueError at float64's edge, never a numpy warning.
-Both problem types store read-only copies of their arrays.
+level to itself. ``redivide``'s output is not checked again: its d is the
+sum the problem already found finite. Past this gate the G sums, the
+first-order envelope and the exact angular argument raise ValueError at
+float64's edge, never a numpy warning. Both problem types store read-only
+copies of their arrays.
 
 The full H of a ``PerturbationProblem`` is solved once, on first use, and
-the decomposition is kept on the problem; every exact transition of that
-problem reads it. Everything else is a pure function over immutable
-inputs; sweeps may evaluate these in parallel without coordination.
+the decomposition and the eigenvector each basis level dominates are kept
+on the problem; every exact transition of that problem reads them.
+Everything else is a pure function over immutable inputs; sweeps may
+evaluate these in parallel without coordination.
 """
 
 from __future__ import annotations
@@ -97,6 +99,11 @@ class PerturbationProblem:
         dec.eigenvectors.setflags(write=False)
         return dec
 
+    @cached_property
+    def _dominant(self) -> list[int]:
+        """For each basis level, the eigenvector it dominates: argmax |V| along each row."""
+        return np.argmax(np.abs(self.decomposition.eigenvectors), axis=1).tolist()
+
 
 @dataclass(frozen=True)
 class RedividedProblem:
@@ -128,19 +135,25 @@ def redivide(problem: PerturbationProblem) -> RedividedProblem:
 
     The original Hamiltonian is recoverable: diag(d) + g1 reproduces
     diag(e0) + h1 entry for entry. The result skips the constructor's
-    Hermiticity check; a validated h1 stays Hermitian with its diagonal zeroed.
+    checks, which the problem has already passed: a validated h1 stays
+    Hermitian with its diagonal zeroed, and d is the sum e0 + diag(h1)
+    that the problem found finite. Both arrays are new and read-only.
     """
     d = problem.e0 + problem.h1.diagonal().real
     g1 = problem.h1.copy()
     np.fill_diagonal(g1, 0.0)
+    d.setflags(write=False)
+    g1.setflags(write=False)
     r = object.__new__(RedividedProblem)
-    _store(r, "d", d, "g1", g1)
+    object.__setattr__(r, "d", d)
+    object.__setattr__(r, "g1", g1)
     return r
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
-    """G(2), G(3), G(4) of each level in ``levels``, in the resolvent form above.
+    """G(2), G(3), G(4) of each level in ``levels``, or of every level for
+    None, in the resolvent form above.
 
     Columns beyond ``order`` stay zero. Only when a gap off the diagonal is
     masked does a check run: DegenerateDenominator(beta, lowest b) when a
@@ -150,21 +163,22 @@ def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     """
     g_terms = np.zeros((r.dim, 3))
     if order < 2:
-        return g_terms[levels]
+        return g_terms if levels is None else g_terms[levels]
     g1 = r.g1
     gap = r.d[:, None] - r.d
     masked = np.abs(gap) <= r.degeneracy_tol
     resolvent = np.divide(1.0, gap, out=np.zeros_like(gap), where=~masked)
-    np.fill_diagonal(masked, False)  # b = beta leaves every sum; it is no degeneracy
 
-    if masked.any():
+    if np.count_nonzero(masked) > r.dim:  # the diagonal gaps are 0, always masked
+        np.fill_diagonal(masked, False)  # b = beta leaves every sum; it is no degeneracy
         crossed = g1 != 0.0  # symmetric: g1 is exactly Hermitian
         if order >= 4:
             crossed |= crossed @ crossed
-        offending = np.argwhere((masked & crossed)[levels])
+        rows = range(r.dim) if levels is None else levels
+        offending = np.argwhere((masked & crossed)[rows])
         if offending.size:
             i, other = offending[0]
-            raise DegenerateDenominator(int(levels[i]), int(other))
+            raise DegenerateDenominator(int(rows[i]), int(other))
 
     # np.add.reduce is the reduction np.sum calls, without its Python wrapper
     weights = g1.real**2 + g1.imag**2
@@ -176,7 +190,8 @@ def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
         g_terms[:, k] = np.add.reduce(path * v, axis=1).real
     if order >= 4:
         g_terms[:, 2] -= g_terms[:, 0] * np.add.reduce(weights * resolvent**2, axis=1)
-    g_terms = g_terms[levels]
+    if levels is not None:
+        g_terms = g_terms[levels]
     if not np.isfinite(g_terms).all():
         raise ValueError("a correction term G overflows float64")
     return g_terms
@@ -253,7 +268,7 @@ def improved_energies(r: RedividedProblem, order: int = 4) -> ImprovedSpectrum:
     if type(order) is bool or not isinstance(order, (int, np.integer)) or not 0 < order < 5:
         raise ValueError(f"order must be an integer in 1..4, got {order!r}")
     order = int(order)
-    g_terms = _g_sums(r, np.arange(r.dim), order)
+    g_terms = _g_sums(r, None, order)
     energies = r.d + g_terms[:, 0] + g_terms[:, 1] + g_terms[:, 2]
     return ImprovedSpectrum(order=order, energies=energies, g_terms=g_terms)
 
@@ -346,12 +361,13 @@ def transition_probability_exact(
     Propagates phi_beta with ``hermitian.evolve`` through the problem's
     cached ``decomposition`` of the full Hamiltonian; the amplitude is the
     gamma component of the evolved state. The reported angular argument
-    pairs each basis level with the eigenvector it dominates, which reduces
-    to the usual two-level gap for weakly mixed problems.
+    pairs each basis level with the eigenvector it dominates, a map kept
+    beside the decomposition; it reduces to the usual two-level gap for
+    weakly mixed problems.
     """
     _check_pair(problem, gamma, beta, hbar)
     dec = problem.decomposition
     z = hermitian.evolve(dec, np.eye(problem.dim)[beta], t, hbar)[gamma]
-    k_gamma, k_beta = np.argmax(np.abs(dec.eigenvectors[[gamma, beta]]), axis=1)
-    argument = _half_phase(dec.eigenvalues, k_gamma, k_beta, t, hbar)
+    dominant = problem._dominant
+    argument = _half_phase(dec.eigenvalues, dominant[gamma], dominant[beta], t, hbar)
     return TransitionResult(gamma, beta, float(abs(z) ** 2), argument)

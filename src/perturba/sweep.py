@@ -341,8 +341,9 @@ _ROW_BYTES = len(_COLUMNS) * _FIELD
 
 class _CsvBuffers:
     """The working memory of one ``emit_csv`` call, reused for every chunk:
-    sign-less text fields with '.', ',' and '\\n' written once, and the
-    kernel's integer arrays."""
+    sign-less text fields with '.', ',' and '\\n' written once, the
+    kernel's integer arrays, and the signed text, allocated by the first
+    chunk that holds a negative value."""
 
     def __init__(self, rows: int):
         values = rows * len(_COLUMNS)
@@ -356,6 +357,23 @@ class _CsvBuffers:
         self.words = np.empty((6, values), dtype=np.uint64)
         self.ascii = np.empty(values, dtype=np.uint32)
         self.flags = np.empty((2, values), dtype=bool)
+        self._signed = None
+
+    def signed(self, negative: NDArray[np.bool_]) -> NDArray[np.uint8]:
+        """The text of the first ``len(negative)`` fields, each flagged one
+        after a '-', as a view of the signed buffer."""
+        if self._signed is None:
+            self._signed = np.empty(self.text.size + len(self.text), dtype=np.uint8)
+        n, where = negative.shape[0], np.flatnonzero(negative)
+        size = n * _FIELD + where.size
+        # each field moves right by the signs up to and including its own
+        starts = np.repeat(np.arange(where.size + 1), np.diff(where, prepend=0, append=n))
+        starts += np.arange(0, n * _FIELD, _FIELD)
+        # every field as one 23-byte item, copied to its start in one fancy store
+        fields = np.ndarray(size - _FIELD + 1, f"V{_FIELD}", self._signed, 0, (1,))
+        fields[starts] = self.text[:n].view(f"V{_FIELD}")[:, 0]
+        self._signed[where * _FIELD + np.arange(where.size)] = ord("-")
+        return self._signed[:size]
 
     def _place(self, offset: int) -> NDArray[np.uint32]:
         """The four bytes at ``offset`` of every field, as one uint32 each."""
@@ -368,8 +386,8 @@ def _format_block(block: NDArray[np.float64], buffers: _CsvBuffers) -> bytes | N
     The kernel writes every value in its window; '%.16e' of |v| is written
     into the field of a value outside it whose text has the field's width;
     a row holding text of another width (nan, inf, three exponent digits)
-    is spliced in whole. The result is a view of ``buffers.text``, valid
-    until their next use, if it needs no sign and no splice."""
+    is spliced in whole. The result is a view of ``buffers``, valid until
+    their next use, if it needs no splice."""
     rows = block.shape[0]
     values = block.reshape(-1)
     bits, n = values.view(np.uint64), values.size
@@ -442,7 +460,7 @@ def _format_block(block: NDArray[np.float64], buffers: _CsvBuffers) -> bytes | N
     np.signbit(values, out=negative)
     text = buffers.text[:n].reshape(-1)
     if negative.any():
-        text = np.insert(text, np.flatnonzero(negative) * _FIELD, ord("-"))
+        text = buffers.signed(negative)
     if not flags.any():
         return text
     # splice the '%' row format in for rows holding text of another width

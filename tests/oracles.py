@@ -7,7 +7,9 @@ to feed it arbitrary values, and the eager full-table sweep that the
 chunked, pruned walker must agree with, kept apart from the package so the
 engine and its checks cannot share a bug. The Hermitian gate and the G sums
 are also kept in their unhurried forms, which compute every check and
-every product for each input, so the fast paths must match them bit for bit.
+every product for each input, so the fast paths must match them bit for bit;
+so are ``redivide``, ``improved_energies`` and the exact transition as they
+were before they stopped repeating work that validation had already done.
 """
 
 import math
@@ -115,6 +117,47 @@ def reference_g_sums(r, levels, order):
     if not np.isfinite(g_terms).all():
         raise ValueError("a correction term G overflows float64")
     return g_terms
+
+
+def reference_redivide(problem):
+    """``perturb.redivide`` storing d and g1 through ``perturb._store``, which
+    copies d again and checks d + diag(g1) for finiteness again."""
+    from perturba import RedividedProblem
+    from perturba.perturb import _store
+
+    d = problem.e0 + problem.h1.diagonal().real
+    g1 = problem.h1.copy()
+    np.fill_diagonal(g1, 0.0)
+    r = object.__new__(RedividedProblem)
+    _store(r, "d", d, "g1", g1)
+    return r
+
+
+def reference_improved_energies(r, order=4):
+    """``perturb.improved_energies`` through ``reference_g_sums`` over the
+    levels ``np.arange(r.dim)``, gathered by a fancy index."""
+    from perturba import ImprovedSpectrum
+
+    if type(order) is bool or not isinstance(order, (int, np.integer)) or not 0 < order < 5:
+        raise ValueError(f"order must be an integer in 1..4, got {order!r}")
+    order = int(order)
+    g_terms = reference_g_sums(r, np.arange(r.dim), order)
+    energies = r.d + g_terms[:, 0] + g_terms[:, 1] + g_terms[:, 2]
+    return ImprovedSpectrum(order=order, energies=energies, g_terms=g_terms)
+
+
+def reference_transition_exact(problem, gamma, beta, t, hbar):
+    """``perturb.transition_probability_exact`` looking up the eigenvectors
+    that gamma and beta dominate by an argmax on every call."""
+    from perturba import TransitionResult, hermitian
+    from perturba.perturb import _check_pair, _half_phase
+
+    _check_pair(problem, gamma, beta, hbar)
+    dec = problem.decomposition
+    z = hermitian.evolve(dec, np.eye(problem.dim)[beta], t, hbar)[gamma]
+    k_gamma, k_beta = np.argmax(np.abs(dec.eigenvectors[[gamma, beta]]), axis=1)
+    argument = _half_phase(dec.eigenvalues, k_gamma, k_beta, t, hbar)
+    return TransitionResult(gamma, beta, float(abs(z) ** 2), argument)
 
 
 def reference_require_hermitian(matrix):

@@ -241,6 +241,20 @@ class TestMain:
         assert written[0] == written[1]
         assert read_csv(tmp_path / "sweep.csv")[0, 0] == float(value)
 
+    @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+    def test_negative_non_finite_value_is_a_value(self, tmp_path, capsys, value):
+        # the separated form reaches the finiteness check as the joined one
+        # does, instead of argparse's "expected one argument"
+        errors = []
+        for start in (["--start", value], [f"--start={value}"]):
+            out = tmp_path / "sweep.csv"
+            args = ["--mode", "time", "--fixed", "1e-3", *start, "--stop", "0", "--samples", "2"]
+            assert main(args + ["--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1] == "perturba: error: start must be finite\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg")] + BASE_ARGS) == 2
 

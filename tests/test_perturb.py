@@ -4,13 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perturba import (
     DegenerateDenominator,
     DimensionMismatch,
+    HyperfineConfig,
     NonHermitianInput,
     PerturbationProblem,
     RedividedProblem,
+    build_problem,
     g2,
     g3,
     g4,
@@ -28,6 +32,9 @@ from oracles import (
     order_scaling_slopes,
     random_problem,
     reference_g_sums,
+    reference_improved_energies,
+    reference_redivide,
+    reference_transition_exact,
 )
 from perturba.perturb import _g_sums
 
@@ -146,6 +153,35 @@ class TestSingleSolve:
                 transition_probability_traditional(r, gamma, beta, t, 1.0)
         # h1 at construction, then the full H inside its one solve
         assert calls == {"require_hermitian": 2, "eigendecompose": 1}
+
+    def test_engine_hyperfine_problem_crosses_each_boundary_as_often_as_before(
+        self, monkeypatch
+    ):
+        # the benchmark's per-layer metrics read these three boundaries; a
+        # shortcut around any of them would make its metric read 0
+        calls = dict.fromkeys(("__post_init__", "require_hermitian", "eigendecompose"), 0)
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(PerturbationProblem, "__post_init__")
+        counting(hermitian, "require_hermitian")
+        counting(hermitian, "eigendecompose")
+        config = HyperfineConfig(b_field=3e-3)
+        problem = build_problem(config)
+        r = redivide(problem)
+        spectrum = improved_energies(r, order=4)
+        args = (3, 1, 4e-7, config.constants.hbar_evs)
+        transition_probability_exact(problem, *args)
+        transition_probability_improved(r, spectrum, *args)
+        transition_probability_traditional(r, *args)
+        assert calls == {"__post_init__": 1, "require_hermitian": 2, "eigendecompose": 1}
 
     def test_cached_results_equal_a_fresh_problem(self):
         rng = np.random.default_rng(12)
@@ -391,6 +427,89 @@ class TestGSumsMatchReference:
         # the masked gap raises exactly where a path with a nonzero numerator crosses it
         two_hop = {4} if n > 2 else set()
         assert raised_at == {"coupled": {2, 3, 4}, "two_hop": two_hop}.get(case, set())
+
+
+def bits_or_error(call, read, *args):
+    """The uint64 bits of each array or float ``read`` takes from
+    ``call(*args)``, or the type and args of the exception it raises."""
+    try:
+        result = call(*args)
+    except Exception as exc:
+        return type(exc), exc.args
+    return [np.asarray(v).view(np.uint64).tolist() for v in read(result)]
+
+
+class TestSameBitsAsBefore:
+    """``redivide``, ``improved_energies`` and the exact transition stopped
+    repeating work the problem's validation had done; the forms kept in
+    ``oracles`` still do it, and must give the same bits or raise the same."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        case=st.sampled_from(["dense", "masked", "two_hop", "uncoupled", "sparse", "huge"]),
+        scale=st.sampled_from([1e-3, 0.2, 1.0]),
+        t=st.one_of(st.floats(0.0, 10.0), st.just(1e308)),
+        hbar=st.sampled_from([1.0, 0.37, 0.0]),
+        pair=st.tuples(st.integers(0, 11), st.integers(0, 11)),
+    )
+    def test_outputs_and_exceptions(self, n, seed, case, scale, t, hbar, pair):
+        rng = np.random.default_rng(seed)
+        e0, h1 = random_problem(rng, n, complex_valued=bool(rng.integers(2)), coupling_scale=scale)
+        a = int(rng.integers(n - 1))
+        if case in ("masked", "two_hop"):  # levels a and a + 1 share d exactly
+            e0[a + 1], h1[a + 1, a + 1] = e0[a], h1[a, a]
+        if case == "two_hop":  # no direct coupling across the masked gap
+            h1[a, a + 1] = h1[a + 1, a] = 0.0
+        if case == "uncoupled":  # odd and even levels never couple
+            h1[0::2, 1::2] = h1[1::2, 0::2] = 0.0
+        if case == "sparse":  # about half the couplings are zero
+            zero = np.triu(rng.random((n, n)) < 0.5, 1)
+            h1[zero | zero.T] = 0.0
+        if case == "huge":  # couplings of 1e160 across gaps of about 1: G overflows
+            np.fill_diagonal(h1, 0.0)
+            h1 *= 1e160
+        problem = PerturbationProblem(e0=e0, h1=h1)
+
+        def redivided_read(q):
+            return q.d, q.g1
+
+        assert bits_or_error(redivide, redivided_read, problem) == (
+            bits_or_error(reference_redivide, redivided_read, problem)
+        )
+        r, expected_r = redivide(problem), reference_redivide(problem)
+        assert not (r.d.flags.writeable or r.g1.flags.writeable)
+
+        def spectrum_read(spectrum):
+            return spectrum.energies, spectrum.g_terms, spectrum.order
+
+        spectra = {}
+        for order in (1, 2, 3, 4):
+            got = bits_or_error(improved_energies, spectrum_read, r, order)
+            expected = bits_or_error(reference_improved_energies, spectrum_read, expected_r, order)
+            assert got == expected
+            if isinstance(got, list):
+                spectra[order] = improved_energies(r, order)
+
+        gamma, beta = (level % n for level in pair)
+        spectrum = spectra[max(spectra)]
+
+        def transition_read(result):
+            return result.probability, result.angular_argument, result.gamma, result.beta
+
+        args = (gamma, beta, t, hbar)
+        assert bits_or_error(transition_probability_exact, transition_read, problem, *args) == (
+            bits_or_error(reference_transition_exact, transition_read, problem, *args)
+        )
+        assert bits_or_error(
+            transition_probability_improved, transition_read, r, spectrum, *args
+        ) == bits_or_error(
+            transition_probability_improved, transition_read, expected_r, spectrum, *args
+        )
+        assert bits_or_error(transition_probability_traditional, transition_read, r, *args) == (
+            bits_or_error(transition_probability_traditional, transition_read, expected_r, *args)
+        )
 
 
 class TestImprovedEnergies:

@@ -1058,6 +1058,18 @@ class TestCsvKernel:
         assert np.shares_memory(text, buffers.text)
         assert bytes(text) == reference_csv_rows(block.tolist()).encode("ascii")
 
+    def test_signed_chunks_share_one_buffer(self):
+        # text with '-' signs is written into one buffer, allocated by the
+        # first chunk that needs it and reused by the next
+        size = sweep._CHUNK_ROWS
+        rng = np.random.default_rng(28)
+        buffers, texts = sweep._CsvBuffers(size), []
+        for _ in range(2):
+            block = rng.uniform(-1.0, 1.0, (size, 6))
+            texts.append(sweep._format_block(block, buffers))
+            assert bytes(texts[-1]) == reference_csv_rows(block.tolist()).encode("ascii")
+        assert np.shares_memory(texts[0], texts[1])
+
     def test_signs_and_text_of_another_width_outside_the_window(self):
         # three-digit exponents, subnormals, nan and inf change the width and
         # take the row splice; two-digit ones beside them are written in place
