@@ -22,15 +22,16 @@ on every row is never evaluated; where both are open over the same rows,
 the exact curve is computed once per walk.
 
 CSV text is the bytes of ``'%.16e'`` per value, written chunk by chunk
-into sign-less fields of memory each ``emit_csv`` call allocates once, in
-one of three ways: by exact integer arithmetic where 1e-11 <= |v| < 1e17
-or v is zero, the kernel whose rules the comment above its tables states;
-by ``'%.16e'`` written into the field where the value lies outside that
-window and its text still has the field's width, a two-digit exponent;
-and by splicing ``'%.16e'``'s text of a whole row in where a value's
-text has another width (nan, inf, a three-digit exponent). Files are
-written to a temporary file beside the destination and moved into place,
-once the directory has room for the smallest CSV the table could give.
+in one of two ways. Where every value's text has the field's width, it
+goes into sign-less fields of memory each ``emit_csv`` call allocates
+once: by exact integer arithmetic where 1e-11 <= |v| < 1e17 or v is
+zero, the kernel whose rules the comment above its tables states, and by
+``'%.16e'`` of |v| written into the field of a value outside that window,
+whose text then has a two-digit exponent. A chunk holding text of another
+width (nan, inf, a three-digit exponent) is ``'%.16e'`` of every value,
+formatted whole. Files are written to a temporary file beside the
+destination and moved into place, once the directory has room for the
+smallest CSV the table could give.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import errno
-import itertools
 import math
 import numbers
 import os
@@ -304,7 +304,7 @@ def _unsafe_rows(grid, t_safe: float) -> list[tuple[int, int]]:
 # A zero (e = 0, M = 2**52) reads multiplier 0 and exponent e+00. An
 # exponent word of 0 marks a value outside the window, a subnormal (e = 0,
 # M > 2**52), nan or inf: its field takes '%.16e' of |v| where that text
-# is 22 bytes (a two-digit exponent), else its row takes the '%' format.
+# is 22 bytes (a two-digit exponent), else its chunk takes the '%' format.
 _MAX_P = 27
 _FRACTION, _HIDDEN = (1 << 52) - 1, 1 << 52
 _DECADE = np.full(4096, 1 << 53, dtype=np.uint64)  # 2**53: no M reaches it
@@ -336,7 +336,8 @@ _QUADS = _QUADS.view(np.uint32).ravel()
 # One field per value, without its sign: d.dddddddddddddddd, 'e', the
 # exponent's sign and two digits, then ',' or '\n'
 _FIELD = 23
-_ROW_BYTES = len(_COLUMNS) * _FIELD
+#: '%.16e' of one row, for a chunk holding text of another width
+_ROW_FORMAT = ",".join(["%.16e"] * len(_COLUMNS)) + "\n"
 
 
 class _CsvBuffers:
@@ -383,12 +384,11 @@ class _CsvBuffers:
 def _format_block(block: NDArray[np.float64], buffers: _CsvBuffers) -> bytes | NDArray[np.uint8]:
     """CSV text of a (rows, 6) block, byte-identical to '%.16e' per value.
 
-    The kernel writes every value in its window; '%.16e' of |v| is written
-    into the field of a value outside it whose text has the field's width;
-    a row holding text of another width (nan, inf, three exponent digits)
-    is spliced in whole. The result is a view of ``buffers``, valid until
-    their next use, if it needs no splice."""
-    rows = block.shape[0]
+    The kernel writes every value in its window, and '%.16e' of |v| is
+    written into the field of a value outside it; the result is a view of
+    ``buffers``, valid until their next use. If any such text has another
+    width (nan, inf, three exponent digits), the result is instead the
+    bytes of '%.16e' of every value in the block."""
     values = block.reshape(-1)
     bits, n = values.view(np.uint64), values.size
     index, m, w1, w2, w3, w4 = (word[:n] for word in buffers.words)
@@ -449,30 +449,15 @@ def _format_block(block: NDArray[np.float64], buffers: _CsvBuffers) -> bytes | N
     np.take(_EXPONENT, lookup, out=ascii, mode="clip")
     np.copyto(buffers.exponent[:n], ascii)
     np.equal(ascii, np.uint32(0), out=flags)
-    if flags.any():  # '%' text of a value outside the window, in its field if 22 bytes
+    if flags.any():  # '%' text of the values outside the window, in their fields
         outside = np.flatnonzero(flags)
         texts = ["%.16e" % v for v in np.abs(values[outside]).tolist()]
-        fits = np.array([len(text) == _FIELD - 1 for text in texts])
-        in_place = outside[fits]
-        flags[in_place] = False
-        joined = "".join(itertools.compress(texts, fits)).encode("ascii")
-        buffers.text[in_place, :-1] = np.frombuffer(joined, np.uint8).reshape(-1, _FIELD - 1)
+        if any(len(text) != _FIELD - 1 for text in texts):
+            return (_ROW_FORMAT * len(block) % tuple(values.tolist())).encode("ascii")
+        joined = "".join(texts).encode("ascii")
+        buffers.text[outside, :-1] = np.frombuffer(joined, np.uint8).reshape(-1, _FIELD - 1)
     np.signbit(values, out=negative)
-    text = buffers.text[:n].reshape(-1)
-    if negative.any():
-        text = buffers.signed(negative)
-    if not flags.any():
-        return text
-    # splice the '%' row format in for rows holding text of another width
-    row_ends = np.cumsum(negative.reshape(rows, -1).sum(axis=1) + _ROW_BYTES)
-    row_starts = np.concatenate(([0], row_ends[:-1]))
-    pieces, start = [], 0
-    for row in np.flatnonzero(flags.reshape(rows, -1).any(axis=1)):
-        pieces.append(text[start : row_starts[row]])
-        pieces.append((",".join("%.16e" % v for v in block[row]) + "\n").encode("ascii"))
-        start = row_ends[row]
-    pieces.append(text[start:])
-    return b"".join(pieces)
+    return buffers.signed(negative) if negative.any() else buffers.text[:n].reshape(-1)
 
 
 def _write_atomically(path, write, least: int) -> int:

@@ -8,8 +8,9 @@ than loosened; the measured numbers are printed by their FAIL lines:
 * criterion 5 demands 1e-12 absolute agreement between the spectral-sum
   engine and the closed-form probability out to t = 10 s. At those times
   the oscillation phase is ~4.5e10 rad, where one float64 ulp of phase is
-  ~5e-6 rad; two independently rounded phase pipelines therefore disagree
-  at the ~1e-7 probability level no matter how either side is written.
+  2^-17 ~ 7.6e-6 rad; two independently rounded phase pipelines therefore
+  disagree by a measured 4.94e-7 in probability, no matter how either side
+  is written.
 
 * criterion 7 expects the traditional curve's pointwise deviation to first
   exceed 0.5 between 0.5 and 3 s and the improved one between 20 and 30 s.
@@ -156,7 +157,7 @@ def test_criterion_5_oracle_equivalence():
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 5.0
     # expected FAIL: float64 phase granularity at 4.5e10 rad floors the
-    # route-to-route agreement near 1e-7; see module docstring
+    # route-to-route agreement near 4.9e-7; see module docstring
     assert report(
         5,
         "eigensolver vs closed-form probability",

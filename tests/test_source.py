@@ -172,3 +172,30 @@ def test_only_the_per_curve_walk_looks_up_unsafe_rows():
     # each curve's walk looks up the rows its own certificate leaves open;
     # no other code chooses which rows a divergence query evaluates
     assert callers("_unsafe_rows") == [("sweep", "_first_crossing")]
+
+
+def test_every_import_is_used():
+    # a name an import binds is read somewhere in its module, or re-exported
+    # through __all__; a deletion that leaves its import behind fails here
+    def bound(node):
+        for alias in node.names:
+            yield alias.asname or alias.name.partition(".")[0]
+
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        unused += [
+            f"{path.name}:{node.lineno} {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for name in bound(node)
+            if name not in used
+        ]
+    assert SOURCES and not unused, unused

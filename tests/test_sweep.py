@@ -958,6 +958,10 @@ def columns_of(table):
 #: near the curves' nodes fall below 1e-11, outside the exact kernel's window
 TINY_VALUE_SWEEP = SweepSpec(mode="time", fixed_value=1.16e-4, start=0.0, stop=7.67e-6,
                              samples=3 * sweep._CHUNK_ROWS + 1)
+#: a log field sweep from 1e-150 T: its first chunk holds rows whose text has
+#: three exponent digits beside rows whose text has the field's width
+EXTREME_FIELD_SWEEP = SweepSpec(mode="field", fixed_value=3e-7, start=1e-150, stop=1e-2,
+                                samples=3001, scale="log")
 
 
 class TestCsvKernel:
@@ -1163,6 +1167,14 @@ class TestCsvKernel:
         ]
         assert sum(tiny) >= 2
 
+    def test_extreme_field_sweep_has_both_widths_in_one_chunk(self):
+        # sign-less text is 22 bytes, or 23 with a three-digit exponent
+        block = SweepTable(EXTREME_FIELD_SWEEP).rows(0, sweep._CHUNK_ROWS)
+        lengths = np.array([[len("%.16e" % abs(v)) for v in row] for row in block.tolist()])
+        assert np.isin(lengths, [sweep._FIELD - 1, sweep._FIELD]).all()
+        three_digit_rows = np.count_nonzero((lengths == sweep._FIELD).any(axis=1))
+        assert 0 < three_digit_rows < len(block)
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -1173,6 +1185,7 @@ class TestCsvKernel:
                 mode="field", fixed_value=3e-7, start=1e-4, stop=1e-2, samples=2500, scale="log"
             ),
             TINY_VALUE_SWEEP,
+            EXTREME_FIELD_SWEEP,
         ],
     )
     def test_whole_sweep_tables(self, spec, tmp_path):
