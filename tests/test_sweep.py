@@ -930,6 +930,33 @@ def signed_rows(values):
     return values * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
+def assert_kernel_writes(matrix):
+    """One chunk of the rows of ``matrix`` is written by the kernel: its
+    text equals the per-value '%.16e' text and is a view of the reused
+    buffers, not the whole-chunk '%' format."""
+    block = np.asarray(matrix, dtype=np.float64).reshape(-1, 6)
+    assert len(block) <= sweep._CHUNK_ROWS
+    buffers = sweep._CsvBuffers(sweep._CHUNK_ROWS)
+    text = sweep._format_block(block, buffers)
+    assert isinstance(text, np.ndarray)
+    owners = [buffers.text] if buffers._signed is None else [buffers.text, buffers._signed]
+    assert any(np.shares_memory(text, owner) for owner in owners)
+    assert bytes(text) == reference_csv_rows(block.tolist()).encode("ascii")
+
+
+#: bit patterns of doubles whose '%.16e' text has the field's 22 bytes:
+#: signed zeros and 2**-328 <= |v| < 2**329, within [1e-99, 1e99]
+FIELD_WIDTH_BITS = st.one_of(
+    st.sampled_from([0, 1 << 63]),
+    st.builds(
+        lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+        st.integers(0, 1),
+        st.integers(1023 - 328, 1023 + 328),
+        st.integers(0, 2**52 - 1),
+    ),
+)
+
+
 def alternating_chunks(seed, chunks=4, tail=777):
     """``chunks`` walker chunks and a ``tail``-row chunk of values in
     [1e-3, 1); the even-numbered chunks also hold negatives, signed zeros
@@ -1035,6 +1062,38 @@ class TestCsvKernel:
         # without a carry: 9.9999999999999995e-08
         assert_matches_reference(signed_rows(carries + [1e-7]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(FIELD_WIDTH_BITS, min_size=6, max_size=6), min_size=1, max_size=4))
+    def test_any_bit_patterns_of_field_width_in_the_kernel(self, rows):
+        assert_kernel_writes(np.array(rows, dtype=np.uint64).view(np.float64))
+
+    def test_neighbours_of_powers_of_ten_in_the_kernel(self):
+        # the neighbours of 1e-98 .. 1e99 all have the field's width, so the
+        # kernel's decade choice at the window's edges 1e-11 and 1e17 and at
+        # every power between them is checked, signed and not
+        values = []
+        for k in range(-98, 100):
+            power = float(f"1e{k}")
+            values += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+        assert {len("%.16e" % v) for v in values} == {sweep._FIELD - 1}
+        assert_kernel_writes(signed_rows(values))
+        assert_kernel_writes(np.abs(signed_rows(values)))
+
+    def test_rounding_that_carries_in_the_kernel(self):
+        # the carries with two exponent digits lie outside the window and
+        # keep the field's width; the double nearest 1e-7 lies below it,
+        # inside the window, and rounds without a carry
+        carries = [
+            value
+            for k in range(-98, 100)
+            for value in (float(f"1e{k}"), float(np.nextafter(float(f"1e{k}"), 0.0)))
+            if "%.16e" % value == "1.0000000000000000e%+03d" % k
+            and Fraction(value) < Fraction(10) ** k
+        ]
+        assert len(carries) >= 5
+        assert_kernel_writes(signed_rows(carries + [1e-7]))
+        assert_kernel_writes(np.abs(signed_rows(carries + [1e-7])))
+
     def test_exact_ties_round_half_to_even(self):
         # M / 2**j is exact and has 18 significant digits ending in 5 when
         # M 5**j does
@@ -1075,8 +1134,8 @@ class TestCsvKernel:
         assert np.shares_memory(texts[0], texts[1])
 
     def test_signs_and_text_of_another_width_outside_the_window(self):
-        # three-digit exponents, subnormals, nan and inf change the width and
-        # take the row splice; two-digit ones beside them are written in place
+        # three-digit exponents, subnormals, nan and inf change the width, so
+        # the chunk holding them is formatted whole by '%'
         carries = [
             value
             for k in range(-330, 309)
