@@ -130,7 +130,8 @@ def evolve(
     """Propagate a state under exp(-i H t / hbar) using the spectral form.
 
     Returns sum_k exp(-i lambda_k t / hbar) |v_k><v_k|psi0>. Unitary, so
-    the input norm is preserved to roundoff; a non-finite phase raises ValueError.
+    the input norm is preserved to roundoff; a non-finite phase raises
+    ValueError. The phases are applied by ``_propagate``.
     """
     psi = np.asarray(psi0, dtype=np.complex128)
     if psi.shape != (decomposition.dim,):
@@ -139,10 +140,17 @@ def evolve(
         )
     if not hbar > 0.0:
         raise ValueError(f"hbar must be positive, got {hbar}")
+    return _propagate(decomposition, decomposition.eigenvectors.conj().T @ psi, t, hbar)
+
+
+def _propagate(decomposition, coefficients, t: float, hbar: float):
+    """sum_k exp(-i lambda_k t / hbar) coefficients[k] v_k for the components
+    coefficients[k] = <v_k|psi0>: for phi_beta, row beta of the conjugated
+    eigenvectors gives ``evolve``'s bits without its product. Callers check
+    hbar; a phase that leaves float64 raises ValueError."""
     w, vecs = decomposition.eigenvalues, decomposition.eigenvectors
     scale = float(t) / float(hbar)  # Python floats never warn
     if not math.isfinite(max(map(abs, w.tolist()), default=0.0) * scale):
         raise ValueError(f"the phase lambda t / hbar leaves float64 at t = {t}")
     phases = np.exp(-1j * w * scale)
-    return vecs @ (phases * (vecs.conj().T @ psi))
-
+    return vecs @ (phases * coefficients)

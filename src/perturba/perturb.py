@@ -20,13 +20,13 @@ G(2) sum_b |g1[beta, b]|^2 R_b^2, each taken at [beta, beta].
 A problem built by its caller is validated once, at construction, through
 ``hermitian.require_hermitian``; its exactly Hermitian result makes every G
 sum real up to roundoff, so the sums keep their real parts unchecked. Its
-diagonal, e0 + diag(h1) or d + diag(g1), must be finite, and a caller-built
-``RedividedProblem`` needs a zero g1 diagonal, so no G path hops from a
-level to itself. ``redivide``'s output is not checked again: its d is the
-sum the problem already found finite. Past this gate the G sums, the
-first-order envelope and the exact angular argument raise ValueError at
-float64's edge, never a numpy warning. Both problem types store read-only
-copies of their arrays.
+diagonal, e0 + diag(h1) or d + diag(g1), must be finite with e0 or d real,
+and a caller-built ``RedividedProblem`` needs a zero g1 diagonal, so no G
+path hops from a level to itself. ``redivide``'s output is not checked
+again: its d is the sum the problem already found finite. Past this gate
+the G sums, the first-order envelope and the exact angular argument raise
+ValueError at float64's edge, never a numpy warning. Both problem types
+store read-only copies of their arrays.
 
 The full H of a ``PerturbationProblem`` is solved once, on first use, and
 the decomposition and the eigenvector each basis level dominates are kept
@@ -50,6 +50,9 @@ from .errors import DegenerateDenominator, DimensionMismatch
 #: gaps smaller than this fraction of max|d| count as degenerate
 DEGENERACY_RTOL = 1e-15
 
+#: a vector of this dtype is stored as it is; any other is checked for imaginary parts
+_FLOAT64 = np.dtype(np.float64)
+
 
 def _validate(problem, vector: str, matrix: str) -> None:
     """Store the named fields as a finite real vector and a matching Hermitian matrix."""
@@ -60,7 +63,12 @@ def _validate(problem, vector: str, matrix: str) -> None:
 @np.errstate(over="ignore")
 def _store(problem, vector: str, v, matrix: str, m) -> None:
     """Store a read-only real copy of ``v``, one entry per row of ``m``, and ``m``
-    made read-only; no one else may hold ``m``. ``v + diag(m)`` must be finite."""
+    made read-only; no one else may hold ``m``. ``v + diag(m)`` must be finite
+    and ``v`` real: a nonzero imaginary part raises ValueError."""
+    if getattr(v, "dtype", None) is not _FLOAT64 and np.iscomplexobj(v):
+        if np.imag(v).any():
+            raise ValueError(f"{vector} has a nonzero imaginary part")
+        v = np.real(v)
     v = np.array(v, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] != m.shape[0]:
         raise DimensionMismatch(
@@ -150,7 +158,7 @@ def redivide(problem: PerturbationProblem) -> RedividedProblem:
     return r
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     """G(2), G(3), G(4) of each level in ``levels``, or of every level for
     None, in the resolvent form above.
@@ -158,8 +166,9 @@ def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     Columns beyond ``order`` stay zero. Only when a gap off the diagonal is
     masked does a check run: DegenerateDenominator(beta, lowest b) when a
     path with a nonzero numerator crosses it, a direct coupling or for G4
-    an interior level. A term beyond float64 raises ValueError; an infinite
-    gap has a zero resolvent.
+    an interior level. A term beyond float64 raises ValueError. The
+    resolvent is 1 / gap with its masked entries set to zero after, so an
+    infinite gap has a zero resolvent.
     """
     g_terms = np.zeros((r.dim, 3))
     if order < 2:
@@ -167,7 +176,8 @@ def _g_sums(r: RedividedProblem, levels, order: int) -> NDArray[np.float64]:
     g1 = r.g1
     gap = r.d[:, None] - r.d
     masked = np.abs(gap) <= r.degeneracy_tol
-    resolvent = np.divide(1.0, gap, out=np.zeros_like(gap), where=~masked)
+    resolvent = 1.0 / gap
+    resolvent[masked] = 0.0
 
     if np.count_nonzero(masked) > r.dim:  # the diagonal gaps are 0, always masked
         np.fill_diagonal(masked, False)  # b = beta leaves every sum; it is no degeneracy
@@ -300,19 +310,26 @@ def _half_phase(energies, i: int, j: int, t: float, hbar: float) -> float:
     return argument
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _first_order(r, phase_energies, gamma: int, beta: int, t: float, hbar: float):
     """|g1|^2 sin^2(w~ t / 2 hbar) / (w / 2)^2 with w~ taken from
     ``phase_energies`` and w = d_gamma - d_beta; callers check the pair.
-    A phase or an envelope beyond float64 raises ValueError."""
+    A phase or an envelope beyond float64 raises ValueError. The envelope is
+    taken in Python floats; their exceptions stand for numpy's inf, nan and 0."""
     argument = _half_phase(phase_energies, gamma, beta, t, hbar)
-    coupling = r.g1[gamma, beta]
+    coupling = r.g1.item(gamma, beta)  # a Python complex
     if coupling == 0.0:
         return TransitionResult(gamma, beta, 0.0, argument)
-    omega = r.d[gamma] - r.d[beta]
+    omega = r.d.item(gamma) - r.d.item(beta)
     if abs(omega) <= r.degeneracy_tol:
         raise DegenerateDenominator(gamma, beta)
-    envelope = (coupling.real**2 + coupling.imag**2) / (omega / 2.0) ** 2
+    weight = math.inf  # kept if |g1|^2 overflows
+    try:  # x**2 is libm's pow, as numpy's scalar power; x * x can round 1 ulp apart
+        weight = coupling.real**2 + coupling.imag**2
+        envelope = weight / (omega / 2.0) ** 2
+    except OverflowError:  # numpy's nan if |g1|^2 overflowed, else 0.0 from weight / inf
+        envelope = weight * 0.0
+    except ZeroDivisionError:  # (w / 2)^2 underflowed
+        envelope = math.inf
     if not math.isfinite(envelope):
         raise ValueError("the envelope |g1|^2 / (w / 2)^2 leaves float64")
     return TransitionResult(gamma, beta, envelope * np.sin(argument) ** 2, argument)
@@ -358,16 +375,17 @@ def transition_probability_exact(
 ) -> TransitionResult:
     """Exact probability |<phi_gamma| exp(-i H t / hbar) |phi_beta>|^2.
 
-    Propagates phi_beta with ``hermitian.evolve`` through the problem's
-    cached ``decomposition`` of the full Hamiltonian; the amplitude is the
-    gamma component of the evolved state. The reported angular argument
-    pairs each basis level with the eigenvector it dominates, a map kept
-    beside the decomposition; it reduces to the usual two-level gap for
-    weakly mixed problems.
+    Propagates phi_beta as ``hermitian.evolve`` does, with the same bits,
+    through the problem's cached ``decomposition`` of the full Hamiltonian,
+    reading phi_beta's eigenbasis components from row beta of the
+    eigenvectors; the amplitude is the gamma component of the evolved
+    state. The reported angular argument pairs each basis level with the
+    eigenvector it dominates, a map kept beside the decomposition; it
+    reduces to the usual two-level gap for weakly mixed problems.
     """
     _check_pair(problem, gamma, beta, hbar)
     dec = problem.decomposition
-    z = hermitian.evolve(dec, np.eye(problem.dim)[beta], t, hbar)[gamma]
+    z = hermitian._propagate(dec, dec.eigenvectors[beta].conj(), t, hbar)[gamma]
     dominant = problem._dominant
     argument = _half_phase(dec.eigenvalues, dominant[gamma], dominant[beta], t, hbar)
     return TransitionResult(gamma, beta, float(abs(z) ** 2), argument)

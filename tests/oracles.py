@@ -9,7 +9,8 @@ engine and its checks cannot share a bug. The Hermitian gate and the G sums
 are also kept in their unhurried forms, which compute every check and
 every product for each input, so the fast paths must match them bit for bit;
 so are ``redivide``, ``improved_energies`` and the exact transition as they
-were before they stopped repeating work that validation had already done.
+were before they stopped repeating work that validation had already done,
+and the first-order transitions' numpy-scalar arithmetic.
 """
 
 import math
@@ -148,7 +149,8 @@ def reference_improved_energies(r, order=4):
 
 def reference_transition_exact(problem, gamma, beta, t, hbar):
     """``perturb.transition_probability_exact`` looking up the eigenvectors
-    that gamma and beta dominate by an argmax on every call."""
+    that gamma and beta dominate by an argmax on every call, and propagating
+    the basis state ``np.eye(n)[beta]`` through ``hermitian.evolve``."""
     from perturba import TransitionResult, hermitian
     from perturba.perturb import _check_pair, _half_phase
 
@@ -158,6 +160,27 @@ def reference_transition_exact(problem, gamma, beta, t, hbar):
     k_gamma, k_beta = np.argmax(np.abs(dec.eigenvectors[[gamma, beta]]), axis=1)
     argument = _half_phase(dec.eigenvalues, k_gamma, k_beta, t, hbar)
     return TransitionResult(gamma, beta, float(abs(z) ** 2), argument)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def reference_first_order(r, phase_energies, gamma, beta, t, hbar):
+    """``perturb._first_order`` in numpy scalars under ``np.errstate``, as it
+    was before it took the envelope in Python floats: an underflowed
+    (w / 2)^2 gives numpy's inf or nan, which the finiteness check refuses."""
+    from perturba import DegenerateDenominator, TransitionResult
+    from perturba.perturb import _half_phase
+
+    argument = _half_phase(phase_energies, gamma, beta, t, hbar)
+    coupling = r.g1[gamma, beta]
+    if coupling == 0.0:
+        return TransitionResult(gamma, beta, 0.0, argument)
+    omega = r.d[gamma] - r.d[beta]
+    if abs(omega) <= r.degeneracy_tol:
+        raise DegenerateDenominator(gamma, beta)
+    envelope = (coupling.real**2 + coupling.imag**2) / (omega / 2.0) ** 2
+    if not math.isfinite(envelope):
+        raise ValueError("the envelope |g1|^2 / (w / 2)^2 leaves float64")
+    return TransitionResult(gamma, beta, envelope * np.sin(argument) ** 2, argument)
 
 
 def reference_require_hermitian(matrix):

@@ -12,13 +12,15 @@ from oracles import jacobi_eigh, reference_order_and_fix_phase, reference_requir
 from perturba import (
     ConvergenceFailure,
     DimensionMismatch,
+    HyperfineConfig,
     NonHermitianInput,
+    build_problem,
     eigendecompose,
     evolve,
     pauli_operators,
     require_hermitian,
 )
-from perturba.hermitian import _order_and_fix_phase
+from perturba.hermitian import _order_and_fix_phase, _propagate
 
 
 def random_hermitian(rng, dim, complex_valued=True):
@@ -508,6 +510,52 @@ class TestEvolve:
         dec = eigendecompose(np.eye(2))
         with pytest.raises(ValueError):
             evolve(dec, np.array([1.0, 0.0]), 1.0, 0.0)
+
+
+def outcome(call, *args):
+    """The array ``call(*args)`` returns, or the type and args of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+class TestLevelRoute:
+    """The exact transition propagates phi_beta through ``_propagate`` with
+    row beta of the conjugated eigenvectors as its components; ``evolve`` of
+    ``np.eye(n)[beta]`` reaches them by a product. Both must give the same
+    values, signed zeros aside, the same |z|^2 bits and the same exceptions."""
+
+    @staticmethod
+    def check(dec, t, hbar):
+        for beta in range(dec.dim):
+            via_evolve = outcome(evolve, dec, np.eye(dec.dim)[beta], t, hbar)
+            direct = outcome(_propagate, dec, dec.eigenvectors[beta].conj(), t, hbar)
+            if isinstance(via_evolve, tuple):
+                assert direct == via_evolve
+                continue
+            assert np.array_equal(direct, via_evolve)  # -0.0 == 0.0
+            # the engine's probability is float(abs(z) ** 2) of one component
+            squares = [[float(abs(z) ** 2) for z in psi] for psi in (direct, via_evolve)]
+            assert np.array_equal(*np.array(squares).view(np.uint64))
+
+    @pytest.mark.parametrize("b_field", [0.0, 1e-4, 1e-3, 3e-2])
+    @pytest.mark.parametrize("t", [0.0, 1e-9, 3.7e-7, 1e-3, math.inf, math.nan, 1e308])
+    def test_hyperfine_problem(self, b_field, t):
+        # the 4x4's eigenvectors hold exact zeros, so the product adds signed zeros
+        config = HyperfineConfig(b_field=b_field)
+        dec = build_problem(config).decomposition
+        assert (dec.eigenvectors == 0.0).any()
+        self.check(dec, t, config.constants.hbar_evs)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_dense_problems(self, n):
+        rng = np.random.default_rng([n, 31])
+        for _ in range(5):
+            dec = eigendecompose(random_hermitian(rng, n, complex_valued=True))
+            for t in (0.0, *rng.uniform(-20.0, 20.0, 3), math.inf, -math.inf, math.nan, 1e308):
+                for hbar in (1.0, 0.37, 1e-3):
+                    self.check(dec, t, hbar)
 
 
 class TestMatrixElement:

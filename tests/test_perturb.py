@@ -31,12 +31,13 @@ from oracles import (
     brute_g4,
     order_scaling_slopes,
     random_problem,
+    reference_first_order,
     reference_g_sums,
     reference_improved_energies,
     reference_redivide,
     reference_transition_exact,
 )
-from perturba.perturb import _g_sums
+from perturba.perturb import _check_pair, _g_sums
 
 W, X = 1.0, 0.1
 
@@ -79,6 +80,25 @@ class TestProblemValidation:
     def test_non_finite_vector(self, kind, vector, matrix, bad):
         with pytest.raises(ValueError, match="non-finite"):
             kind(**{vector: np.array([0.0, bad]), matrix: np.zeros((2, 2))})
+
+    @pytest.mark.parametrize("kind, vector, matrix", KINDS)
+    @pytest.mark.parametrize("form", [np.array, list])
+    def test_imaginary_vector_raises(self, kind, vector, matrix, form):
+        # numpy would drop the imaginary part with a ComplexWarning; a list would raise TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{vector} has a nonzero imaginary part"):
+                kind(**{vector: form([1.0 + 0.5j, 2.0]), matrix: np.zeros((2, 2))})
+
+    @pytest.mark.parametrize("kind, vector, matrix", KINDS)
+    @pytest.mark.parametrize("form", [np.array, list])
+    def test_zero_imaginary_parts_are_accepted(self, kind, vector, matrix, form):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem = kind(**{vector: form([1.0 + 0j, -0.0j]), matrix: np.zeros((2, 2))})
+        stored = getattr(problem, vector)
+        assert stored.dtype == np.float64 and not stored.flags.writeable
+        assert stored.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("kind, vector, matrix", KINDS)
     def test_non_hermitian_matrix(self, kind, vector, matrix):
@@ -439,10 +459,32 @@ def bits_or_error(call, read, *args):
     return [np.asarray(v).view(np.uint64).tolist() for v in read(result)]
 
 
+def transition_read(result):
+    return result.probability, result.angular_argument, result.gamma, result.beta
+
+
+def first_order_outcomes(r, spectrum, *args):
+    """(engine, reference) outcomes of the improved and then the traditional
+    transition; the reference is ``oracles.reference_first_order``."""
+
+    def reference(energies, gamma, beta, t, hbar):
+        _check_pair(r, gamma, beta, hbar)
+        return reference_first_order(r, energies, gamma, beta, t, hbar)
+
+    return [
+        (bits_or_error(transition_probability_improved, transition_read, r, spectrum, *args),
+         bits_or_error(reference, transition_read, spectrum.energies, *args)),
+        (bits_or_error(transition_probability_traditional, transition_read, r, *args),
+         bits_or_error(reference, transition_read, r.d, *args)),
+    ]
+
+
 class TestSameBitsAsBefore:
     """``redivide``, ``improved_energies`` and the exact transition stopped
-    repeating work the problem's validation had done; the forms kept in
-    ``oracles`` still do it, and must give the same bits or raise the same."""
+    repeating work the problem's validation had done, and the first-order
+    transitions moved from numpy scalars to Python floats; the forms kept in
+    ``oracles`` still do it the old way, and must give the same bits or
+    raise the same."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -494,22 +536,39 @@ class TestSameBitsAsBefore:
 
         gamma, beta = (level % n for level in pair)
         spectrum = spectra[max(spectra)]
-
-        def transition_read(result):
-            return result.probability, result.angular_argument, result.gamma, result.beta
-
         args = (gamma, beta, t, hbar)
         assert bits_or_error(transition_probability_exact, transition_read, problem, *args) == (
             bits_or_error(reference_transition_exact, transition_read, problem, *args)
         )
-        assert bits_or_error(
-            transition_probability_improved, transition_read, r, spectrum, *args
-        ) == bits_or_error(
-            transition_probability_improved, transition_read, expected_r, spectrum, *args
-        )
-        assert bits_or_error(transition_probability_traditional, transition_read, r, *args) == (
-            bits_or_error(transition_probability_traditional, transition_read, expected_r, *args)
-        )
+        for got, expected in first_order_outcomes(r, spectrum, *args):
+            assert got == expected
+
+    @pytest.mark.parametrize(
+        "gap, coupling",
+        [
+            (1.0, 1e155),  # |g1|^2 = 1e310 overflows
+            (1e-200, 1e-200),  # |g1|^2 and (w / 2)^2 both underflow to 0
+            (1e-200, 1e-170),
+            (1e-200, 1e-100),  # only (w / 2)^2 underflows
+            (1e-100, 1e100),  # the quotient overflows
+            (1e-160, 1e-160),  # both squares subnormal
+            (1e-150, 3e-161),  # a subnormal |g1|^2 over a normal (w / 2)^2
+            (1e300, 1.0),  # only (w / 2)^2 overflows: the envelope is 0
+            (1e300, 1e155),  # both squares overflow
+            (1.0, 1e150),  # near the limit, kept
+            (0.37, 0.01),
+            (0.37, 0.011283537820422566),  # pow may round this square 1 ulp off x * x
+        ],
+    )
+    @pytest.mark.parametrize("t", [0.0, 1.3, 1e308])
+    def test_first_order_at_float64_edges(self, gap, coupling, t):
+        r = TestFloat64Edge.coupled_pair(gap, coupling)
+        spectrum = improved_energies(r, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((1, 0), (0, 1)):
+                for got, expected in first_order_outcomes(r, spectrum, *pair, t, 1.0):
+                    assert got == expected
 
 
 class TestImprovedEnergies:
