@@ -3,15 +3,15 @@
 ``SweepTable(spec, constants)`` is a lazy view of one sweep, down to its
 grid: a ``_Grid`` computes any slice of the abscissas on demand, bit-equal
 to numpy's ``linspace`` or ``geomspace``, and is the one place the grid's
-geometry is written down. The table refuses phases that leave float64 and
-keeps the fastest rate, which also sets its ``aliasing_phase``. One walker
-splits row ranges into chunks of at most ``_CHUNK_ROWS``, so neither
-``emit_csv`` nor ``first_crossings`` holds more than one chunk. ``emit_csv``
-takes whole chunks and evaluates each into the CSV's six columns, the
-rows, the three curves and their absolute deviations from the exact one.
-``first_crossings`` starts each range it walks at ``_FIRST_CROSSING_ROWS``
-and doubles, since a crossing often lies a few rows in. Output is
-deterministic down to the byte for identical inputs.
+geometry is written down. The table alone reads W, mu_e and hbar, refuses
+phases that leave float64 and keeps the fastest rate for its
+``aliasing_phase``. One walker splits row ranges into chunks of at most
+``_CHUNK_ROWS``, so neither ``emit_csv`` nor ``first_crossings`` holds more
+than one chunk. ``emit_csv`` takes whole chunks and evaluates each into the
+CSV's six columns, the rows, the three curves and their absolute deviations
+from the exact one. ``first_crossings`` starts each range it walks at
+``_FIRST_CROSSING_ROWS`` and doubles, since a crossing often lies a few rows
+in. Output is deterministic down to the byte for identical inputs.
 
 ``first_crossings`` owns the divergence query: it rejects a field sweep or
 a threshold that is not > 0 before it evaluates a row, then walks each
@@ -52,7 +52,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidSweepSpec, IoFailure
 from .hyperfine import HyperfineConfig, PhysicalConstants, angular_rates
-from .hyperfine import _deviation_envelope, _normalized_triple, _safe_time
+from .hyperfine import _deviation_envelope, _gaps, _normalized_triple, _safe_time
 
 CSV_HEADER = "x,p_exact,p_improved,p_traditional,dev_improved,dev_traditional"
 _COLUMNS = tuple(CSV_HEADER.split(","))
@@ -159,18 +159,18 @@ class _Grid:
 class SweepTable:
     """One sweep as a lazy view: its spec, its constants and its grid ``x``.
 
-    ``x`` is a lazy grid that computes the abscissas a slice at a time;
-    ``table.x[:]`` gives them as one array. ``rows(lo, hi)`` evaluates rows
-    lo..hi into a (hi - lo, 6) block in CSV column order, and
-    ``deviation(lo, hi, curve)`` only the one deviation a divergence walk
-    reads; a row depends on its grid value alone, so slices agree.
-    InvalidSweepSpec refuses a spec whose largest |rate| times largest |t|
-    is not finite. That |rate|, kept for ``aliasing_phase``, is at most the
-    largest at the ends of the field range or 3W / hbar, so the ends settle
-    it."""
+    ``rows(lo, hi)`` evaluates rows lo..hi into a (hi - lo, 6) block in CSV
+    column order, ``deviation(lo, hi, curve)`` only the one deviation a
+    divergence walk reads; slices agree, as a row depends on its grid value
+    alone. Only the constructor reads W, mu_e, hbar and a held x = B mu_e,
+    and it refuses (InvalidSweepSpec) a spec where the largest |rate| |t| or
+    fl(fl(|gap| |t|) / hbar), the curves' phase, is not finite. The ends of
+    the field range settle both: where the improved gap peaks (3W) inside it,
+    the exact gap at its top is >= 3.46W. The fastest rate sets ``aliasing_phase``."""
 
     def __init__(self, spec: SweepSpec, constants: PhysicalConstants = PhysicalConstants()):
         self.spec, self.constants, self.x = spec, constants, _Grid(spec)
+        w, mu, hbar = constants.w_ev, constants.mu_e_ev_per_tesla, constants.hbar_evs
         held, ends = (spec.fixed_value,), (spec.start, spec.stop)
         b_fields, times = (held, ends) if spec.mode == "time" else (ends, held)
         t = max(map(abs, times))
@@ -181,7 +181,12 @@ class SweepTable:
         bad = [rate for rate in rates if not math.isfinite(rate * t)]  # Python floats never warn
         if bad:
             raise InvalidSweepSpec(f"phases leave float64 at {bad[0]:.3g} rad/s, |t| = {t:.3g} s")
+        gap = max(float(np.abs(_gaps(w, mu * np.array(b_fields))).max()), 2.0 * w)
+        if not math.isfinite(gap * t / hbar):  # gap t may overflow before the division
+            raise InvalidSweepSpec(f"phases leave float64 at {gap:.3g} eV, |t| = {t:.3g} s")
         self._fastest = max(rates)  # every rate is finite here
+        self._w, self._mu, self._hbar = w, mu, hbar
+        self._held_x = mu * spec.fixed_value if spec.mode == "time" else None
 
     @property
     def aliasing_phase(self) -> float | None:
@@ -210,10 +215,10 @@ class SweepTable:
                                                       traditional=curve == 0)
         return x, np.abs((traditional, improved)[curve] - p_exact)
 
-    def _curves(self, x, **switches):
-        k, fixed = self.constants, self.spec.fixed_value
-        b_field, t = (fixed, x) if self.spec.mode == "time" else (x, fixed)
-        return _normalized_triple(k.w_ev, k.mu_e_ev_per_tesla * b_field, k.hbar_evs, t, **switches)
+    def _curves(self, grid, **switches):
+        time = self.spec.mode == "time"
+        x, t = (self._held_x, grid) if time else (self._mu * grid, self.spec.fixed_value)
+        return _normalized_triple(self._w, x, self._hbar, t, **switches)
 
 
 def _walk(ranges, first=_CHUNK_ROWS):
@@ -241,9 +246,7 @@ def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
         )
     if not threshold > 0.0:
         raise InvalidSweepSpec(f"threshold must be positive, got {threshold}")
-    k = table.constants
-    x_ev = k.mu_e_ev_per_tesla * table.spec.fixed_value
-    rates, floor = _deviation_envelope(k.w_ev, x_ev, k.hbar_evs)
+    rates, floor = _deviation_envelope(table._w, table._held_x, table._hbar)
     return tuple(_first_crossing(table, curve, _safe_time(rate, floor, threshold), threshold)
                  for curve, rate in enumerate(rates))
 

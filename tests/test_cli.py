@@ -303,6 +303,35 @@ class TestMain:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("perturba: error: phases leave float64")
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1e270",
+              "--samples", "3", "--threshold", "0.5"],
+             "phases leave float64 at 4.43e+47 eV, |t| = 1e+270 s"),
+            # only the upper end's gap overflows: 2W t is 4.4e307
+            (["--mode", "field", "--fixed", "1e260", "--start", "0", "--stop", "1e53",
+              "--samples", "3"],
+             "phases leave float64 at 1.58e+51 eV, |t| = 1e+260 s"),
+        ],
+        ids=["time", "field"],
+    )
+    def test_phase_overflowing_before_the_division_by_hbar_exits_one(self, tmp_path, capsys,
+                                                                      args, error):
+        # with hbar = 9.9e37 eV s, (gap / hbar) t stays finite but the
+        # curves' gap t overflows first, which left rows of nan and, with a
+        # threshold, crossings of inf
+        config = tmp_path / "constants.cfg"
+        config.write_text("planck_h = 1e20\n")
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(config), *args, "--out", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"perturba: error: {error}"]
+
     def test_csv_that_cannot_fit_exits_two(self, tmp_path, monkeypatch, capsys):
         # 100,000 rows need at least 2.4 MB; the directory has 1 MB free
         disk_usage = shutil.disk_usage

@@ -155,9 +155,31 @@ def test_private_imports_cross_only_where_listed():
                     edges.setdefault((path.stem, node.module), set()).update(private)
     assert edges == {
         ("cli", "sweep"): {"_MODES", "_SCALES"},
-        # the counting tests and perfbench patch sweep._normalized_triple
-        ("sweep", "hyperfine"): {"_deviation_envelope", "_normalized_triple", "_safe_time"},
+        # the counting tests and perfbench patch sweep._normalized_triple;
+        # the table refuses by _gaps, which the curves' phases are made of
+        ("sweep", "hyperfine"): {"_deviation_envelope", "_gaps", "_normalized_triple",
+                                 "_safe_time"},
     }
+
+
+def test_only_the_sweep_table_reads_the_derived_constants():
+    # SweepTable.__init__ reads W, mu_e and hbar once and keeps them; the
+    # curves and the divergence query read the table, so no second reader
+    # in sweep can derive a value the table's refusal did not check
+    derived = {"w_ev", "mu_e_ev_per_tesla", "hbar_evs"}
+
+    def reads(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from reads(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in derived:
+                yield child.attr, owner
+            yield from reads(child, owner)
+
+    path = Path(perturba.__file__).parent / "sweep.py"
+    found = set(reads(ast.parse(path.read_text(), filename=str(path)), None))
+    assert found == {(name, "SweepTable.__init__") for name in derived}
 
 
 def test_only_emit_csv_builds_the_six_column_block():

@@ -25,6 +25,7 @@ from perturba import (
     HyperfineConfig,
     InvalidSweepSpec,
     IoFailure,
+    PhysicalConstants,
     SweepSpec,
     divergence_report,
     emit_csv,
@@ -35,6 +36,9 @@ from perturba import (
 from perturba.sweep import CSV_HEADER, first_crossings
 
 CONFIG = HyperfineConfig(b_field=1e-3)
+#: the CODATA 2018 inputs, which differ from the defaults in each derived value
+CODATA_2018 = PhysicalConstants(mu_e=9.2847647043e-24, planck_h=6.62607015e-34,
+                                elementary_charge=1.602176634e-19)
 
 
 def window_spec(center, periods=3.0, samples=4001, b_field=1e-3):
@@ -249,22 +253,33 @@ class TestRunSweep:
         assert np.all(block[:, 3] == block[0, 3])
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, constants",
         [
             # 4.46e9 rad/s out to 1e300 s
-            SweepSpec(mode="time", fixed_value=1e-3, start=-1e300, stop=0.0, samples=3),
+            (SweepSpec(mode="time", fixed_value=1e-3, start=-1e300, stop=0.0, samples=3),
+             CONFIG.constants),
             # the improved gap is -inf: x**4 overflows
-            SweepSpec(mode="time", fixed_value=1e81, start=0.0, stop=1e-9, samples=3),
+            (SweepSpec(mode="time", fixed_value=1e81, start=0.0, stop=1e-9, samples=3),
+             CONFIG.constants),
             # at B = 1e157 T the improved rate is nan while the exact one,
             # 8.8e167 rad/s, stays finite out to 1e-9 s
-            SweepSpec(mode="field", fixed_value=1e-9, start=0.0, stop=1e157, samples=3),
+            (SweepSpec(mode="field", fixed_value=1e-9, start=0.0, stop=1e157, samples=3),
+             CONFIG.constants),
             # an infinite rate at t = 0 is nan all the same
-            SweepSpec(mode="field", fixed_value=0.0, start=0.0, stop=1e157, samples=3),
+            (SweepSpec(mode="field", fixed_value=0.0, start=0.0, stop=1e157, samples=3),
+             CONFIG.constants),
+            # hbar = 9.9e37 eV s: the rates times 1e270 s stay finite, but the
+            # curves' gap t, 4.4e47 eV times 1e270 s, overflows before / hbar
+            (SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e270, samples=3),
+             PhysicalConstants(planck_h=1e20)),
         ],
+        ids=[f"spec{case}" for case in range(5)],
     )
-    def test_phases_beyond_float64_are_rejected(self, spec):
-        with pytest.raises(InvalidSweepSpec, match="phases leave float64"):
-            SweepTable(spec)
+    def test_phases_beyond_float64_are_rejected(self, spec, constants):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSweepSpec, match="phases leave float64"):
+                SweepTable(spec, constants)
 
     def test_phases_near_the_float64_limit_are_kept(self):
         # 4.46e9 rad/s out to 1e298 s stays below 1.8e308 rad
@@ -677,6 +692,33 @@ class TestWalker:
         assert first_crossings(SweepTable(spec), threshold) == (
             oracles.first_crossings(table, threshold)
         )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # 2 ns at 31.8 s: both deviations first exceed 0.4 at rows that
+            # move with the constants
+            SweepSpec(mode="time", fixed_value=1e-3, start=31.8, stop=31.8 + 2e-9, samples=2049),
+            SweepSpec(mode="field", fixed_value=1e-3, start=1e-4, stop=1e-2, samples=2500,
+                      scale="log"),
+        ],
+    )
+    def test_constants_other_than_the_defaults_equal_oracle(self, spec):
+        # the table evaluates with the W, mu_e and hbar of its own constants,
+        # which give other bytes and crossings than the defaults
+        full = oracles.run_sweep(spec, dataclasses.replace(CONFIG, constants=CODATA_2018))
+        expected = CSV_HEADER + "\n" + reference_csv_rows(columns_of(full).tolist())
+        default = io.StringIO()
+        emit_csv(SweepTable(spec), default)
+        assert default.getvalue() != expected
+        stream = io.StringIO()
+        assert emit_csv(SweepTable(spec, CODATA_2018), stream) == len(expected)
+        assert stream.getvalue().splitlines() == expected.splitlines()
+        if spec.mode == "time":
+            crossings = first_crossings(SweepTable(spec, CODATA_2018), 0.4)
+            assert crossings == oracles.first_crossings(full, 0.4)
+            defaults = first_crossings(SweepTable(spec), 0.4)
+            assert all(a != b for a, b in zip(crossings, defaults))
 
     def test_rejects_before_evaluating_a_row(self, monkeypatch):
         rows = counted_rows(monkeypatch)
