@@ -163,10 +163,11 @@ class SweepTable:
     column order, ``deviation(lo, hi, curve)`` only the one deviation a
     divergence walk reads; slices agree, as a row depends on its grid value
     alone. Only the constructor reads W, mu_e, hbar and a held x = B mu_e,
-    and it refuses (InvalidSweepSpec) a spec where the largest |rate| |t| or
-    fl(fl(|gap| |t|) / hbar), the curves' phase, is not finite. The ends of
-    the field range settle both: where the improved gap peaks (3W) inside it,
-    the exact gap at its top is >= 3.46W. The fastest rate sets ``aliasing_phase``."""
+    and it refuses (InvalidSweepSpec) a spec where a rate, or the largest
+    fl(fl(|gap| |t|) / hbar), the curves' own phase, is not finite. The exact
+    gap is >= 2W, and the ends of the field range hold the largest gap: where
+    the improved gap peaks (3W) inside it, the exact gap at its top is
+    >= 3.46W. The fastest rate sets ``aliasing_phase``."""
 
     def __init__(self, spec: SweepSpec, constants: PhysicalConstants = PhysicalConstants()):
         self.spec, self.constants, self.x = spec, constants, _Grid(spec)
@@ -178,11 +179,8 @@ class SweepTable:
             rates = [abs(float(rate)) for b in b_fields for rate in angular_rates(constants, b)]
         except ValueError as exc:
             raise InvalidSweepSpec(f"phases leave float64: {exc}") from None
-        bad = [rate for rate in rates if not math.isfinite(rate * t)]  # Python floats never warn
-        if bad:
-            raise InvalidSweepSpec(f"phases leave float64 at {bad[0]:.3g} rad/s, |t| = {t:.3g} s")
-        gap = max(float(np.abs(_gaps(w, mu * np.array(b_fields))).max()), 2.0 * w)
-        if not math.isfinite(gap * t / hbar):  # gap t may overflow before the division
+        gap = float(np.abs(_gaps(w, mu * np.array(b_fields))).max())  # exact >= 2W here
+        if not math.isfinite(gap * t / hbar):  # Python floats never warn
             raise InvalidSweepSpec(f"phases leave float64 at {gap:.3g} eV, |t| = {t:.3g} s")
         self._fastest = max(rates)  # every rate is finite here
         self._w, self._mu, self._hbar = w, mu, hbar

@@ -286,6 +286,17 @@ class TestRunSweep:
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=-1e298, stop=0.0, samples=3)
         assert np.isfinite(whole(SweepTable(spec))).all()
 
+    def test_phases_the_curves_compute_are_kept_at_the_last_ulp(self):
+        # the fastest rate times t rounds to inf here, while the curves' own
+        # (gap t) / hbar stays finite: the table refuses by the curves' order
+        spec = SweepSpec(mode="time", fixed_value=0.02235395216983277, start=0.0,
+                         stop=3.6860039226612526e298, samples=3)
+        rates = hyperfine.angular_rates(CONFIG.constants, spec.fixed_value)
+        assert not math.isfinite(max(abs(float(rate)) for rate in rates) * spec.stop)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(whole(SweepTable(spec))).all()
+
     def test_a_window_wider_than_float64_is_refused_without_a_warning(self):
         # stop - start overflows to inf; the grid's geometry is held in
         # Python floats, which never warn, so the refusal comes first
