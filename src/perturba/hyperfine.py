@@ -167,7 +167,11 @@ def build_problem(config: HyperfineConfig) -> PerturbationProblem:
 
 def _gaps(w: float, x):
     """(exact, improved) = (sqrt(4W^2 + x^2), 2W + x^2/4W - x^4/(4W)^3), x = B mu_e."""
-    improved = 2.0 * w + x * x / (4.0 * w) - x**4 / (4.0 * w) ** 3
+    try:
+        cube = (4.0 * w) ** 3
+    except OverflowError:  # W > 1.4e102 eV: a finite x^4 / (4W)^3 < 1 is lost in 2W
+        cube = math.inf
+    improved = 2.0 * w + x * x / (4.0 * w) - x**4 / cube
     return np.sqrt(4.0 * w * w + x * x), improved
 
 
@@ -272,6 +276,7 @@ _DEVIATION_CAP = 1.0 + (2 * _SIN_ULPS + 2) * _EPS
 _ASIN_ULPS = 4
 
 
+@np.errstate(over="ignore")  # an infinite rate only shrinks the certified run
 def _deviation_envelope(w: float, x: float, hbar: float):
     """Certified envelope of the deviations ``_normalized_triple`` yields at a scalar x.
 
@@ -323,19 +328,20 @@ def _deviation_envelope(w: float, x: float, hbar: float):
     and 1 - (_ASIN_ULPS + 4) e outweighs all three. A quotient below the
     normal range errs by at most 2**-1074 absolutely, which is subtracted.
     """
-    exact, improved = _gaps(w, x)
+    exact, improved = _gaps(w, np.asarray(x, dtype=np.float64))  # the curves' own bits
     others = np.array([2.0 * w, improved])
     rates = (np.abs(exact - others) + _EPS * (exact + others)) / hbar * (1.0 + 4.0 * _EPS)
     u = (x * x) / (4.0 * w * w)
     return rates, float(u / (1.0 + u) + _FLOOR_EPS * _EPS)
 
 
+@np.errstate(over="ignore", divide="ignore")
 def _safe_time(rate: float, floor: float, threshold: float) -> float:
     """A |t| up to which sin(min(rate |t|, pi/2)) + floor <= threshold
     holds for certain, by the rounding argument of ``_deviation_envelope``:
-    inf when no computed deviation can exceed the threshold, -inf when not
-    even at t = 0. ``floor`` comes from ``_deviation_envelope``, so it is at
-    least _FLOOR_EPS eps and the margin below the cap is < 1."""
+    inf when no computed deviation can exceed it or asin(margin) / rate
+    overflows, -inf when not even at t = 0. ``floor`` comes from the envelope,
+    so it is at least _FLOOR_EPS eps and the margin below the cap is < 1."""
     if threshold >= _DEVIATION_CAP:
         return math.inf
     margin = math.nextafter(threshold - floor, 0.0)

@@ -51,7 +51,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidSweepSpec, IoFailure
-from .hyperfine import HyperfineConfig, PhysicalConstants, angular_rates
+from .hyperfine import HyperfineConfig, PhysicalConstants
 from .hyperfine import _deviation_envelope, _gaps, _normalized_triple, _safe_time
 
 CSV_HEADER = "x,p_exact,p_improved,p_traditional,dev_improved,dev_traditional"
@@ -162,12 +162,12 @@ class SweepTable:
     ``rows(lo, hi)`` evaluates rows lo..hi into a (hi - lo, 6) block in CSV
     column order, ``deviation(lo, hi, curve)`` only the one deviation a
     divergence walk reads; slices agree, as a row depends on its grid value
-    alone. Only the constructor reads W, mu_e, hbar and a held x = B mu_e,
-    and it refuses (InvalidSweepSpec) a spec where a rate, or the largest
-    fl(fl(|gap| |t|) / hbar), the curves' own phase, is not finite. The exact
-    gap is >= 2W, and the ends of the field range hold the largest gap: where
-    the improved gap peaks (3W) inside it, the exact gap at its top is
-    >= 3.46W. The fastest rate sets ``aliasing_phase``."""
+    alone. Only the constructor reads W, mu_e, hbar and a held x = B mu_e.
+    From one evaluation of the gaps, bit-equal to the curves', it refuses
+    (InvalidSweepSpec) a spec whose fastest rate max |gap| / hbar, or phase
+    fl(fl(max |gap| |t|) / hbar), is not finite. Accepted, the exact gap is
+    >= 2W (4W^2 underflows only where (4W)^3 = 0 and the improved gap is not
+    finite); the ends hold the largest: the improved peak 3W < exact 3.46W."""
 
     def __init__(self, spec: SweepSpec, constants: PhysicalConstants = PhysicalConstants()):
         self.spec, self.constants, self.x = spec, constants, _Grid(spec)
@@ -175,14 +175,11 @@ class SweepTable:
         held, ends = (spec.fixed_value,), (spec.start, spec.stop)
         b_fields, times = (held, ends) if spec.mode == "time" else (ends, held)
         t = max(map(abs, times))
-        try:
-            rates = [abs(float(rate)) for b in b_fields for rate in angular_rates(constants, b)]
-        except ValueError as exc:
-            raise InvalidSweepSpec(f"phases leave float64: {exc}") from None
-        gap = float(np.abs(_gaps(w, mu * np.array(b_fields))).max())  # exact >= 2W here
-        if not math.isfinite(gap * t / hbar):  # Python floats never warn
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            gap = float(np.abs(_gaps(w, mu * np.array(b_fields))).max())  # nan if any is
+        self._fastest = gap / hbar  # Python floats never warn
+        if not (math.isfinite(self._fastest) and math.isfinite(gap * t / hbar)):
             raise InvalidSweepSpec(f"phases leave float64 at {gap:.3g} eV, |t| = {t:.3g} s")
-        self._fastest = max(rates)  # every rate is finite here
         self._w, self._mu, self._hbar = w, mu, hbar
         self._held_x = mu * spec.fixed_value if spec.mode == "time" else None
 

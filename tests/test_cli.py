@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import math
 import os
 import shutil
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import perturba
 from perturba import (
@@ -408,19 +411,62 @@ class TestAliasingWarning:
 
     @pytest.mark.parametrize("mode, fixed, calls", [("time", "1e-3", 1), ("field", "1e-9", 2)])
     def test_rates_are_read_once_per_field(self, monkeypatch, tmp_path, mode, fixed, calls):
-        # the table reads the rates at each field it holds and keeps the
-        # fastest for the aliasing phase; the CLI reads them nowhere else
-        fields = []
+        # the table evaluates the gaps of every field it holds in one call,
+        # refuses by them and keeps the fastest rate for the aliasing phase;
+        # sweep calls _gaps nowhere else (the curves and the envelope
+        # evaluate theirs inside hyperfine)
+        evaluations = []
 
-        def counting(constants, b_field):
-            fields.append(b_field)
-            return hyperfine.angular_rates(constants, b_field)
+        def counting(w, x):
+            evaluations.append(np.array(x))
+            return hyperfine._gaps(w, x)
 
-        monkeypatch.setattr(sweep, "angular_rates", counting)
+        monkeypatch.setattr(sweep, "_gaps", counting)
         args = ["--mode", mode, "--fixed", fixed, "--start", "1e-4", "--stop", "1e-2",
                 "--samples", "8", "--out", str(tmp_path / "sweep.csv")]
-        assert main(args) == 0
-        assert len(fields) == calls
+        threshold = ["--threshold", "0.5"] if mode == "time" else []
+        assert main([*args, *threshold]) == 0
+        assert [x.shape for x in evaluations] == [(calls,)]
+
+
+def powers_of_ten():
+    return st.floats(-300.0, 300.0).map(lambda k: 10.0**k)
+
+
+class TestExtremeSpecs:
+    """Constants and specs anywhere in float64's range end in exit 0 with
+    finite rows or in exit 1 with one error line: never in a traceback or a
+    numpy warning."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_every_run_exits_zero_or_one(self, tmp_path, capsys, data):
+        constants = data.draw(st.dictionaries(st.sampled_from(cli._CONSTANT_KEYS),
+                                              powers_of_ten()))
+        mode = data.draw(st.sampled_from(["time", "field"]))
+        fixed = data.draw(st.one_of(st.just(0.0), powers_of_ten()))
+        # a time window may reach below 0, a field range may not
+        sign = data.draw(st.sampled_from((0.0, 1.0, -1.0) if mode == "time" else (0.0, 1.0)))
+        start = sign * data.draw(powers_of_ten())
+        stop = max(start + data.draw(powers_of_ten()), math.nextafter(start, math.inf))
+        scale = data.draw(st.sampled_from(["linear", "log"])) if start > 0.0 else "linear"
+        config, out = tmp_path / "constants.cfg", tmp_path / "sweep.csv"
+        config.write_text("".join(f"{key} = {value!r}\n" for key, value in constants.items()))
+        args = ["--config", str(config), "--mode", mode, f"--fixed={fixed!r}",
+                f"--start={start!r}", f"--stop={stop!r}", "--samples", "3",
+                "--scale", scale, "--out", str(out)]
+        if mode == "time":
+            args += ["--threshold", repr(data.draw(st.floats(1e-3, 1.2)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args)
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 1)
+        if code == 1:
+            assert len(err) == 1 and err[0].startswith("perturba: error: ")
+        else:
+            assert np.isfinite(read_csv(out)).all()
 
 
 class TestModuleEntryPoint:
@@ -449,6 +495,19 @@ class TestModuleEntryPoint:
         assert result.stderr.startswith("perturba: error: ")
         assert "Traceback" not in result.stderr
         return result.stderr
+
+    def test_w_whose_cube_leaves_float64_exits_zero(self, tmp_path):
+        # planck_h = 1e100 gives W = 2.2e127 eV, whose (4W)^3 overflowed a
+        # Python float: the run ended in a traceback
+        config, out = tmp_path / "constants.cfg", tmp_path / "sweep.csv"
+        config.write_text("planck_h = 1e100\n")
+        result = self.run("--config", str(config), "--mode", "time", "--fixed", "1e-3",
+                          "--start", "0", "--stop", "1e-9", "--samples", "3", "--out", str(out))
+        assert result.returncode == 0
+        # 4.5e9 rad/s over 0.5 ns steps
+        assert result.stderr.startswith("perturba: warning: one grid step advances")
+        assert len(result.stderr.splitlines()) == 1
+        assert read_csv(out).shape == (3, 6) and np.isfinite(read_csv(out)).all()
 
     def test_overflowing_phase_exits_one(self):
         self.refused("--mode", "time", "--fixed", "1e82", "--start", "0",

@@ -408,3 +408,16 @@ class TestFloat64Edge:
     def test_rates_near_the_float64_limit_are_kept(self):
         # x**4 / (4W)^3 / hbar at 1e73 T is about -8.5e305 rad/s
         assert all(np.isfinite(rate) for rate in angular_rates(PhysicalConstants(), 1e73))
+
+    @pytest.mark.parametrize("b_field", [0.0, 1e-3, np.array([0.0, 1e-3, 1e70])])
+    def test_w_whose_cube_leaves_float64_is_kept(self, b_field):
+        # planck_h = 1e100 gives W = 2.2e127 eV: (4W)^3 overflowed a Python
+        # float with OverflowError, and a finite x^4 / (4W)^3 is lost in 2W
+        config = HyperfineConfig(b_field=1e-3, constants=PhysicalConstants(planck_h=1e100))
+        w, x = config.constants.w_ev, config.constants.mu_e_ev_per_tesla * b_field
+        exact, improved = hyperfine._gaps(w, x)
+        assert np.array_equal(improved, 2.0 * w + x * x / (4.0 * w))
+        assert np.array_equal(exact, np.sqrt(4.0 * w * w + x * x))
+        assert all(np.isfinite(rate).all() for rate in angular_rates(config.constants, b_field))
+        curves = normalized_probabilities(config, np.array([0.0, 1e-9, 1.0]))
+        assert all(np.isfinite(curve).all() for curve in curves)

@@ -136,11 +136,13 @@ def test_only_the_sweep_table_builds_a_grid():
 
 
 def test_only_the_sweep_table_reads_the_sweep_rates():
-    # the table keeps the fastest rate for both the float64 refusal and the
-    # aliasing phase; a second reader in sweep would be a second copy of it
-    assert [owner for module, owner in callers("angular_rates") if module == "sweep"] == [
+    # the table evaluates the gaps once, as the curves do, and keeps the
+    # fastest rate for both the float64 refusal and the aliasing phase; a
+    # second route in sweep, such as angular_rates, could round otherwise
+    assert [owner for module, owner in callers("_gaps") if module == "sweep"] == [
         "SweepTable.__init__"
     ]
+    assert [owner for module, owner in callers("angular_rates") if module == "sweep"] == []
 
 
 def test_private_imports_cross_only_where_listed():

@@ -272,8 +272,12 @@ class TestRunSweep:
             # curves' gap t, 4.4e47 eV times 1e270 s, overflows before / hbar
             (SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e270, samples=3),
              PhysicalConstants(planck_h=1e20)),
+            # the improved gap, -1.4e293 eV, is finite and so is its phase over
+            # 1e-300 s, but its rate, gap / hbar, is not: the fastest rate is
+            (SweepSpec(mode="time", fixed_value=4e73, start=0.0, stop=1e-300, samples=3),
+             CONFIG.constants),
         ],
-        ids=[f"spec{case}" for case in range(5)],
+        ids=[f"spec{case}" for case in range(6)],
     )
     def test_phases_beyond_float64_are_rejected(self, spec, constants):
         with warnings.catch_warnings():
@@ -649,6 +653,52 @@ class TestPrunedDivergence:
 
         assert sweep._unsafe_rows(grid(-4.0, 4.0), t_safe) == expected
         assert sweep._unsafe_rows(grid(0.0, 8.0), 2.5) == [(0, 0), (2, 9)]
+
+    def test_envelope_reads_the_gaps_the_curves_compute(self, monkeypatch):
+        # the certificate bounds the phases the curves compute, so the
+        # envelope evaluates x^4 as _normalized_triple does, by numpy's power
+        # of a float64 array; a Python float's ** differs by an ulp at some
+        # of these fields
+        gaps, improved = hyperfine._gaps, []
+
+        def recording(w, x):
+            exact, gap = gaps(w, x)
+            improved.append(float(gap))
+            return exact, gap
+
+        monkeypatch.setattr(hyperfine, "_gaps", recording)
+        differ = []
+        for b_field in 10.0 ** np.random.default_rng(35).uniform(-2.0, 1.0, 1000):
+            table = SweepTable(SweepSpec(mode="time", fixed_value=float(b_field), start=0.0,
+                                         stop=1e-9, samples=3))
+            improved.clear()
+            hyperfine._deviation_envelope(table._w, table._held_x, table._hbar)
+            table.deviation(0, 3, 1)
+            envelope, curves = improved
+            if envelope.hex() != curves.hex():
+                differ.append(b_field)
+        assert differ == []
+
+    @pytest.mark.parametrize(
+        "b_field, stop, constants, crossings",
+        [
+            # the improved rate, -1.797e308 rad/s, is finite, but its slip
+            # rate in the envelope overflows to inf: no row is certified
+            (3.8188125255690697e73, 1e-300, PhysicalConstants(), (math.inf, 1e-300)),
+            # slip rates of 1.4e-315 rad/s: asin(margin) / rate overflows
+            (0.0, 1e300, PhysicalConstants(planck_h=1e290, delta_nu_h=1e-300,
+                                           elementary_charge=1.0), (math.inf, math.inf)),
+            # slip rates that underflow to 0
+            (0.0, 1e300, PhysicalConstants(planck_h=1e290, delta_nu_h=1e-320,
+                                           elementary_charge=1.0), (math.inf, math.inf)),
+        ],
+        ids=["slip-overflows", "cutoff-overflows", "slip-underflows"],
+    )
+    def test_envelope_beyond_float64_is_quiet(self, b_field, stop, constants, crossings):
+        spec = SweepSpec(mode="time", fixed_value=b_field, start=0.0, stop=stop, samples=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert first_crossings(SweepTable(spec, constants), 0.5) == crossings
 
     @settings(max_examples=100, deadline=None)
     @given(time_specs(max_samples=10_000), st.integers(1, 5000))
