@@ -36,6 +36,7 @@ from numpy.typing import NDArray
 from .perturb import PerturbationProblem
 
 TWO_PI = 2.0 * np.pi
+_LEAVE_FLOAT64 = "phases leave float64 at |B| <= {:.3g} T, |t| <= {:.3g} s"
 
 
 @dataclass(frozen=True)
@@ -81,17 +82,19 @@ class PhysicalConstants:
 class HyperfineConfig:
     """A field magnitude (tesla, +z direction) plus the constants to use.
 
-    Configs built without ``constants`` share one default
-    ``PhysicalConstants()``, validated once at import; it is frozen, so
-    sharing it is safe.
+    The field, and B mu_e, must be finite and the field >= 0, else ValueError.
+    Configs built without ``constants`` share one default ``PhysicalConstants()``,
+    validated once at import; it is frozen, so sharing it is safe.
     """
 
     b_field: float
     constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self):
-        if not (np.isfinite(self.b_field) and self.b_field >= 0.0):
+        if not 0.0 <= self.b_field < math.inf:  # also false for nan
             raise ValueError(f"b_field must be finite and >= 0, got {self.b_field}")
+        if not self.coupling_ev < math.inf:  # B mu_e may overflow
+            raise ValueError(f"derived coupling_ev must be finite, got {self.coupling_ev}")
 
     @property
     def coupling_ev(self) -> float:
@@ -152,6 +155,7 @@ if np.any(_H0 != np.diag(np.diag(_H0))):
 _E0, _ZEEMAN = _read_only(np.diag(_H0).copy(), _ZEEMAN)
 
 
+@np.errstate(over="ignore")  # a -3W past float64 is PerturbationProblem's to refuse
 def build_problem(config: HyperfineConfig) -> PerturbationProblem:
     """The 4x4 hyperfine + Zeeman problem in the coupled basis: e0 = W E0, h1 = x Z.
 
@@ -175,6 +179,21 @@ def _gaps(w: float, x):
     return np.sqrt(4.0 * w * w + x * x), improved
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _checked_gaps(constants: PhysicalConstants, b_field, t_max: float = 0.0):
+    """The curves' (exact, improved) gaps at fields ``b_field`` (tesla), x the float64
+    array ``_normalized_triple`` makes (0-d for a scalar), and the fastest rate max |gap| / hbar.
+    The one float64 rule: ValueError when that rate, or the phase fl(fl(max |gap| t_max) / hbar)
+    of |t| <= t_max, is not finite. No curve's rate or phase is larger: the exact gap is >= 2W,
+    as 4W^2 underflows only where (4W)^3 = 0 and the improved gap is not finite."""
+    b = np.asarray(b_field, dtype=np.float64)
+    gaps = _gaps(constants.w_ev, np.asarray(constants.mu_e_ev_per_tesla * b))
+    gap, hbar = float(np.abs(gaps).max(initial=0.0)), constants.hbar_evs  # nan if any is
+    if not (math.isfinite(gap / hbar) and math.isfinite(gap * t_max / hbar)):  # floats never warn
+        raise ValueError(_LEAVE_FLOAT64.format(np.abs(b).max(initial=0.0), t_max))
+    return gaps, gap / hbar
+
+
 def exact_eigensystem_closed_form(
     config: HyperfineConfig,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -192,11 +211,12 @@ def exact_eigensystem_closed_form(
     normalized phi2/phi4 superpositions written in terms of
     omega42 = -4W and omega42_exact = E4 - E2. At B = 0 those formulas
     degenerate to 0/0 and the unperturbed limits phi2, phi4 are returned
-    instead.
+    instead. A gap past ``_checked_gaps``' rule, or a norm of Psi2 or Psi4
+    that is 0 or not finite, raises its ValueError.
     """
     w = config.constants.w_ev
     x = config.coupling_ev
-    s = _gaps(w, x)[0]
+    s = float(_checked_gaps(config.constants, config.b_field)[0][0])
     energies = np.array([w + x, -w + s, w - x, -w - s])
     vectors = np.eye(4)
     if x != 0.0:
@@ -204,8 +224,10 @@ def exact_eigensystem_closed_form(
         omega42_exact = -2.0 * s
         a2 = omega42 + omega42_exact
         a4 = omega42 - omega42_exact
-        norm2 = np.sqrt(a2 * a2 + 4.0 * x * x)
-        norm4 = np.sqrt(a4 * a4 + 4.0 * x * x)
+        norm2 = math.sqrt(a2 * a2 + 4.0 * x * x)  # Python floats: inf, not a warning
+        norm4 = math.sqrt(a4 * a4 + 4.0 * x * x)
+        if not (0.0 < norm2 < math.inf and 0.0 < norm4 < math.inf):
+            raise ValueError(_LEAVE_FLOAT64.format(config.b_field, 0.0))
         # columns are (phi2, phi4) components of Psi2 and Psi4
         vectors[1, 1] = a2 / norm2
         vectors[3, 1] = -2.0 * x / norm2
@@ -217,34 +239,27 @@ def exact_eigensystem_closed_form(
 def improved_energies_closed_form(config: HyperfineConfig) -> NDArray[np.float64]:
     """The four improved energies, label order matching the exact system.
 
-    E~1 = W + B mu_e and E~3 = W - B mu_e are exact; levels 2 and 4 are
-    -W +- the improved gap 2W + (B mu_e)^2 / 4W - (B mu_e)^4 / (4W)^3, as
-    the exact system has -W +- the exact gap.
+    E~1 = W + B mu_e and E~3 = W - B mu_e are exact; levels 2 and 4 are -W +-
+    the improved gap 2W + (B mu_e)^2 / 4W - (B mu_e)^4 / (4W)^3, as the exact
+    system has -W +- the exact gap. Gaps past ``_checked_gaps``' rule raise.
     """
     w = config.constants.w_ev
     x = config.coupling_ev
-    improved = _gaps(w, x)[1]
+    improved = _checked_gaps(config.constants, config.b_field)[0][1]
     return np.array([w + x, -w + improved, w - x, -w - improved])
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def angular_rates(constants: PhysicalConstants, b_field):
     """Angular rates (rad/s) of the three normalized curves; b_field may be an array.
 
     Returns (exact, improved, traditional) where each curve is
     sin^2(rate * t) apart from the exact curve's amplitude denominator.
     The traditional rate 2W/hbar does not depend on the field. A rate
-    beyond float64 raises ValueError, never a numpy warning.
+    beyond float64 raises ``_checked_gaps``' ValueError, never a numpy warning.
     """
-    w = constants.w_ev
+    (exact, improved), _ = _checked_gaps(constants, b_field)
     hbar = constants.hbar_evs
-    x = constants.mu_e_ev_per_tesla * np.asarray(b_field, dtype=np.float64)
-    exact, improved = _gaps(w, x)
-    rates = exact / hbar, improved / hbar, 2.0 * w / hbar
-    if not all(np.isfinite(rate).all() for rate in rates):
-        b_max = np.max(np.abs(b_field))
-        raise ValueError(f"an angular rate leaves float64 at |B| <= {b_max:.3g} T")
-    return rates
+    return exact / hbar, improved / hbar, 2.0 * constants.w_ev / hbar
 
 
 def _normalized_triple(w: float, x, hbar: float, t, *, improved=True, traditional=True):
@@ -350,7 +365,6 @@ def _safe_time(rate: float, floor: float, threshold: float) -> float:
     return math.asin(margin) / rate * (1.0 - (_ASIN_ULPS + 4) * _EPS) - 2.0**-1074
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def normalized_probabilities(config: HyperfineConfig, t):
     """The three dimensionless 2 -> 4 comparison curves at time(s) ``t``.
 
@@ -358,17 +372,13 @@ def normalized_probabilities(config: HyperfineConfig, t):
     (omega42 / 2)^2 / (mu_e B)^2 = (2W / B mu_e)^2, which strips the
     shared envelope so the phase behavior can be compared directly.
     Returns (exact, improved, traditional); scalars in, scalars out.
-    A phase beyond float64, or a time that is not finite, raises
-    ValueError, never a numpy warning: any of them leaves a curve nan.
+    A rate or phase beyond float64, or a time that is not finite, raises
+    ``_checked_gaps``' ValueError before any curve is evaluated.
     """
+    _checked_gaps(config.constants, config.b_field, float(np.max(np.abs(t), initial=0.0)))
     pT, pI, p = _normalized_triple(
         config.constants.w_ev, config.coupling_ev, config.constants.hbar_evs, t
     )
-    if not all(np.isfinite(curve).all() for curve in (pT, pI, p)):
-        t_max = np.max(np.abs(t))
-        raise ValueError(
-            f"the curves leave float64 at B = {config.b_field:.3g} T, |t| <= {t_max:.3g} s"
-        )
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(pT), float(pI), float(p)
     return pT, pI, p

@@ -52,7 +52,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidSweepSpec, IoFailure
 from .hyperfine import HyperfineConfig, PhysicalConstants
-from .hyperfine import _deviation_envelope, _gaps, _normalized_triple, _safe_time
+from .hyperfine import _checked_gaps, _deviation_envelope, _normalized_triple, _safe_time
 
 CSV_HEADER = "x,p_exact,p_improved,p_traditional,dev_improved,dev_traditional"
 _COLUMNS = tuple(CSV_HEADER.split(","))
@@ -163,25 +163,21 @@ class SweepTable:
     column order, ``deviation(lo, hi, curve)`` only the one deviation a
     divergence walk reads; slices agree, as a row depends on its grid value
     alone. Only the constructor reads W, mu_e, hbar and a held x = B mu_e.
-    From one evaluation of the gaps, bit-equal to the curves', it refuses
-    (InvalidSweepSpec) a spec whose fastest rate max |gap| / hbar, or phase
-    fl(fl(max |gap| |t|) / hbar), is not finite. Accepted, the exact gap is
-    >= 2W (4W^2 underflows only where (4W)^3 = 0 and the improved gap is not
-    finite); the ends hold the largest: the improved peak 3W < exact 3.46W."""
+    It refuses (InvalidSweepSpec) by ``hyperfine._checked_gaps``' rule at the
+    spec's largest |B| and |t|, and keeps its fastest rate; a field range's
+    ends hold the largest gaps: the improved peak 3W < exact 3.46W."""
 
     def __init__(self, spec: SweepSpec, constants: PhysicalConstants = PhysicalConstants()):
         self.spec, self.constants, self.x = spec, constants, _Grid(spec)
-        w, mu, hbar = constants.w_ev, constants.mu_e_ev_per_tesla, constants.hbar_evs
         held, ends = (spec.fixed_value,), (spec.start, spec.stop)
         b_fields, times = (held, ends) if spec.mode == "time" else (ends, held)
-        t = max(map(abs, times))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            gap = float(np.abs(_gaps(w, mu * np.array(b_fields))).max())  # nan if any is
-        self._fastest = gap / hbar  # Python floats never warn
-        if not (math.isfinite(self._fastest) and math.isfinite(gap * t / hbar)):
-            raise InvalidSweepSpec(f"phases leave float64 at {gap:.3g} eV, |t| = {t:.3g} s")
-        self._w, self._mu, self._hbar = w, mu, hbar
-        self._held_x = mu * spec.fixed_value if spec.mode == "time" else None
+        try:
+            self._fastest = _checked_gaps(constants, b_fields, max(map(abs, times)))[1]
+        except ValueError as refusal:
+            raise InvalidSweepSpec(str(refusal)) from refusal
+        self._w, self._mu = constants.w_ev, constants.mu_e_ev_per_tesla
+        self._hbar = constants.hbar_evs
+        self._held_x = self._mu * spec.fixed_value if spec.mode == "time" else None
 
     @property
     def aliasing_phase(self) -> float | None:

@@ -311,11 +311,11 @@ class TestMain:
         [
             (["--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1e270",
               "--samples", "3", "--threshold", "0.5"],
-             "phases leave float64 at 4.43e+47 eV, |t| = 1e+270 s"),
+             "phases leave float64 at |B| <= 0.001 T, |t| <= 1e+270 s"),
             # only the upper end's gap overflows: 2W t is 4.4e307
             (["--mode", "field", "--fixed", "1e260", "--start", "0", "--stop", "1e53",
               "--samples", "3"],
-             "phases leave float64 at 1.58e+51 eV, |t| = 1e+260 s"),
+             "phases leave float64 at |B| <= 1e+53 T, |t| <= 1e+260 s"),
         ],
         ids=["time", "field"],
     )
@@ -411,17 +411,17 @@ class TestAliasingWarning:
 
     @pytest.mark.parametrize("mode, fixed, calls", [("time", "1e-3", 1), ("field", "1e-9", 2)])
     def test_rates_are_read_once_per_field(self, monkeypatch, tmp_path, mode, fixed, calls):
-        # the table evaluates the gaps of every field it holds in one call,
-        # refuses by them and keeps the fastest rate for the aliasing phase;
-        # sweep calls _gaps nowhere else (the curves and the envelope
-        # evaluate theirs inside hyperfine)
+        # the table checks the gaps of every field it holds in one call of
+        # the float64 rule, and keeps the fastest rate for the aliasing
+        # phase; sweep calls the rule nowhere else (the curves and the
+        # envelope evaluate their gaps inside hyperfine)
         evaluations = []
 
-        def counting(w, x):
-            evaluations.append(np.array(x))
-            return hyperfine._gaps(w, x)
+        def counting(constants, b_field, t_max=0.0):
+            evaluations.append(np.array(b_field))
+            return hyperfine._checked_gaps(constants, b_field, t_max)
 
-        monkeypatch.setattr(sweep, "_gaps", counting)
+        monkeypatch.setattr(sweep, "_checked_gaps", counting)
         args = ["--mode", mode, "--fixed", fixed, "--start", "1e-4", "--stop", "1e-2",
                 "--samples", "8", "--out", str(tmp_path / "sweep.csv")]
         threshold = ["--threshold", "0.5"] if mode == "time" else []

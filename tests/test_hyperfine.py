@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perturba import hyperfine
 from perturba import (
@@ -23,6 +25,7 @@ from perturba import (
     transition_probability_improved,
     transition_probability_traditional,
 )
+from perturba.errors import DegenerateDenominator
 
 # published reference values for this system
 W_REF = 1.46858145124e-6  # eV
@@ -95,6 +98,25 @@ class TestConstants:
     def test_negative_field_rejected(self):
         with pytest.raises(ValueError):
             HyperfineConfig(b_field=-1e-3)
+
+    def test_field_whose_coupling_overflows_rejected(self):
+        # mu_e = 1e-10 J/T is 6.2e8 eV/T, so B mu_e at 1e300 T overflows to
+        # inf; build_problem warned on inf * 0 before the problem could refuse
+        constants = PhysicalConstants(mu_e=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="derived coupling_ev must be finite, got inf"):
+                HyperfineConfig(b_field=1e300, constants=constants)
+            assert HyperfineConfig(b_field=1e299, constants=constants).coupling_ev < math.inf
+
+    def test_w_whose_triple_overflows_is_refused_by_the_problem(self):
+        # W = 8.9e307 eV: -3W in e0 overflowed with a warning before
+        # PerturbationProblem refused the non-finite diagonal
+        config = HyperfineConfig(b_field=1e-3, constants=PhysicalConstants(planck_h=4e280))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"e0 \+ diag\(h1\) contains non-finite"):
+                build_problem(config)
 
 
 def coupled_basis():
@@ -253,6 +275,46 @@ class TestClosedForms:
         assert engine[0] == exact[0]
         assert engine[2] == exact[2]
 
+    @pytest.mark.parametrize(
+        "b_field, constants",
+        [
+            # W = 2.2e153 eV: the finite energies came with a Psi2 column of
+            # zeros, as (omega42 + omega42_exact)^2 overflows in its norm
+            (1e-3, PhysicalConstants(planck_h=1e126)),
+            # 4 (B mu_e)^2 underflows and the exact gap rounds to 2W: Psi4's
+            # norm is 0, and its column was nan
+            (1e-300, PhysicalConstants()),
+        ],
+        ids=["norm-overflows", "norm-underflows"],
+    )
+    def test_eigenvector_norm_beyond_float64_raises(self, b_field, constants):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refusal:
+                exact_eigensystem_closed_form(HyperfineConfig(b_field, constants))
+        assert str(refusal.value) == f"phases leave float64 at |B| <= {b_field:.3g} T, |t| <= 0 s"
+
+    def test_one_route_for_the_gaps(self):
+        # a Python float's or numpy scalar's x**4 is libm's pow and an
+        # array's is numpy's own, which differ by an ulp at some fields; the
+        # rates of a scalar field and the closed forms take the array route
+        # of the curves
+        constants = PhysicalConstants()
+        w = constants.w_ev
+        differ = []
+        for b_field in 10.0 ** np.random.default_rng(36).uniform(-4.0, 2.0, 2000):
+            scalar = angular_rates(constants, float(b_field))
+            array = angular_rates(constants, np.array([b_field]))
+            same = [float(one).hex() == float(np.ravel(many)[0]).hex()
+                    for one, many in zip(scalar, array)]
+            config = HyperfineConfig(b_field=float(b_field))
+            gap = hyperfine._gaps(w, np.asarray(config.coupling_ev, dtype=np.float64))[1]
+            levels = improved_energies_closed_form(config)[[1, 3]]
+            same.append(levels.tobytes() == np.array([-w + gap, -w - gap]).tobytes())
+            if not all(same):
+                differ.append(b_field)
+        assert differ == []
+
     def test_improved_tracks_exact_to_sixth_order(self):
         config = HyperfineConfig(b_field=1e-3)
         w = config.constants.w_ev
@@ -391,8 +453,12 @@ class TestFloat64Edge:
         ],
     )
     def test_curves_beyond_float64_raise(self, b_field, t):
-        with pytest.raises(ValueError, match="the curves leave float64"):
+        with pytest.raises(ValueError) as refusal:
             normalized_probabilities(HyperfineConfig(b_field=b_field), t)
+        t_max = f"{np.max(np.abs(t)):.3g}"
+        assert str(refusal.value) == (
+            f"phases leave float64 at |B| <= {b_field:.3g} T, |t| <= {t_max} s"
+        )
 
     def test_curves_near_the_float64_limit_are_kept(self):
         # 4.46e9 rad/s out to 1e298 s stays below 1.8e308 rad
@@ -402,8 +468,16 @@ class TestFloat64Edge:
     @pytest.mark.parametrize("b_field", [1e150, np.array([0.0, 1e-3, 1e150]), 1e81])
     def test_rates_beyond_float64_raise(self, b_field):
         # x**4 / (4W)^3 overflows at 1e81 T; at 1e150 T so does x**4 itself
-        with pytest.raises(ValueError, match="an angular rate leaves float64"):
+        with pytest.raises(ValueError) as refusal:
             angular_rates(PhysicalConstants(), b_field)
+        b_max = f"{np.max(b_field):.3g}"
+        assert str(refusal.value) == f"phases leave float64 at |B| <= {b_max} T, |t| <= 0 s"
+
+    def test_empty_inputs_give_empty_arrays(self):
+        # the rule's largest |B| or |t| over no value is 0, not an error
+        rates = angular_rates(PhysicalConstants(), np.array([]))
+        curves = normalized_probabilities(HyperfineConfig(b_field=1e-3), np.array([]))
+        assert [np.shape(value) for value in (*rates[:2], *curves)] == [(0,)] * 5
 
     def test_rates_near_the_float64_limit_are_kept(self):
         # x**4 / (4W)^3 / hbar at 1e73 T is about -8.5e305 rad/s
@@ -421,3 +495,48 @@ class TestFloat64Edge:
         assert all(np.isfinite(rate).all() for rate in angular_rates(config.constants, b_field))
         curves = normalized_probabilities(config, np.array([0.0, 1e-9, 1.0]))
         assert all(np.isfinite(curve).all() for curve in curves)
+
+
+def powers_of_ten():
+    return st.floats(-300.0, 300.0).map(lambda k: 10.0**k)
+
+
+def engine_chain(config, t):
+    """The engine's 2 -> 4 route: its improved energies and exact probability."""
+    problem = build_problem(config)
+    spectrum = improved_energies(redivide(problem), 4)
+    exact = transition_probability_exact(problem, 3, 1, t, config.constants.hbar_evs)
+    return spectrum.energies, exact.probability
+
+
+class TestExtremeInputs:
+    """Constants, fields and times anywhere in float64's range: each public
+    entry point returns finite values or raises ValueError (the engine's G
+    sums DegenerateDenominator), never another exception or a numpy warning."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_call_is_finite_or_refused(self, data):
+        keys = ("mu_e", "delta_nu_h", "planck_h", "elementary_charge")
+        constants = data.draw(st.dictionaries(st.sampled_from(keys), powers_of_ten()))
+        b_field = data.draw(st.one_of(st.just(0.0), powers_of_ten()))
+        t = data.draw(st.one_of(st.just(0.0), powers_of_ten()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                config = HyperfineConfig(b_field, PhysicalConstants(**constants))
+            except ValueError:
+                return
+            calls = (
+                lambda: exact_eigensystem_closed_form(config),
+                lambda: (improved_energies_closed_form(config),),
+                lambda: normalized_probabilities(config, t),
+                lambda: angular_rates(config.constants, b_field),
+                lambda: engine_chain(config, t),
+            )
+            for call in calls:
+                try:
+                    values = call()
+                except (ValueError, DegenerateDenominator):
+                    continue
+                assert all(np.isfinite(value).all() for value in values)

@@ -136,11 +136,22 @@ def test_only_the_sweep_table_builds_a_grid():
 
 
 def test_only_the_sweep_table_reads_the_sweep_rates():
-    # the table evaluates the gaps once, as the curves do, and keeps the
-    # fastest rate for both the float64 refusal and the aliasing phase; a
-    # second route in sweep, such as angular_rates, could round otherwise
-    assert [owner for module, owner in callers("_gaps") if module == "sweep"] == [
-        "SweepTable.__init__"
+    # one float64 rule for the curves' gaps: hyperfine._checked_gaps evaluates
+    # them as the curves do, and refuses; the table keeps its fastest rate for
+    # the aliasing phase. Every public reader of the gaps refuses through it,
+    # no finiteness check follows, and sweep evaluates no gap of its own
+    assert callers("_checked_gaps") == [
+        ("hyperfine", "exact_eigensystem_closed_form"),
+        ("hyperfine", "improved_energies_closed_form"),
+        ("hyperfine", "angular_rates"),
+        ("hyperfine", "normalized_probabilities"),
+        ("sweep", "SweepTable.__init__"),
+    ]
+    assert callers("_gaps") == [("hyperfine", "_checked_gaps"),
+                                ("hyperfine", "_normalized_triple"),
+                                ("hyperfine", "_deviation_envelope")]
+    assert [owner for module, owner in callers("isfinite") if module == "hyperfine"] == [
+        "_checked_gaps", "_checked_gaps"
     ]
     assert [owner for module, owner in callers("angular_rates") if module == "sweep"] == []
 
@@ -158,8 +169,8 @@ def test_private_imports_cross_only_where_listed():
     assert edges == {
         ("cli", "sweep"): {"_MODES", "_SCALES"},
         # the counting tests and perfbench patch sweep._normalized_triple;
-        # the table refuses by _gaps, which the curves' phases are made of
-        ("sweep", "hyperfine"): {"_deviation_envelope", "_gaps", "_normalized_triple",
+        # the table refuses by _checked_gaps, hyperfine's one float64 rule
+        ("sweep", "hyperfine"): {"_checked_gaps", "_deviation_envelope", "_normalized_triple",
                                  "_safe_time"},
     }
 

@@ -655,27 +655,28 @@ class TestPrunedDivergence:
         assert sweep._unsafe_rows(grid(0.0, 8.0), 2.5) == [(0, 0), (2, 9)]
 
     def test_envelope_reads_the_gaps_the_curves_compute(self, monkeypatch):
-        # the certificate bounds the phases the curves compute, so the
-        # envelope evaluates x^4 as _normalized_triple does, by numpy's power
-        # of a float64 array; a Python float's ** differs by an ulp at some
-        # of these fields
+        # the certificate bounds the phases the curves compute, and the
+        # table's refusal checks them, so the table's float64 rule (one field
+        # in an array) and the envelope (a 0-d array) evaluate x^4 as
+        # _normalized_triple does, by numpy's power of a float64 array; a
+        # Python float's ** differs by an ulp at some of these fields
         gaps, improved = hyperfine._gaps, []
 
         def recording(w, x):
             exact, gap = gaps(w, x)
-            improved.append(float(gap))
+            improved.append(float(np.ravel(gap)[0]))
             return exact, gap
 
         monkeypatch.setattr(hyperfine, "_gaps", recording)
         differ = []
         for b_field in 10.0 ** np.random.default_rng(35).uniform(-2.0, 1.0, 1000):
+            improved.clear()
             table = SweepTable(SweepSpec(mode="time", fixed_value=float(b_field), start=0.0,
                                          stop=1e-9, samples=3))
-            improved.clear()
             hyperfine._deviation_envelope(table._w, table._held_x, table._hbar)
             table.deviation(0, 3, 1)
-            envelope, curves = improved
-            if envelope.hex() != curves.hex():
+            refusal, envelope, curves = improved
+            if not refusal.hex() == envelope.hex() == curves.hex():
                 differ.append(b_field)
         assert differ == []
 
