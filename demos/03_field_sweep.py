@@ -5,6 +5,11 @@ The traditional curve is a flat line in B (its phase 2WT/hbar never sees
 the field), the improved curve follows the exact one until the quartic
 term gives out, and at strong fields even the amplitudes part ways.
 Windows land in ./demo_output/.
+
+At t = 1 s the exact curve's phase moves fast with B, so each window also
+prints the table's aliasing phase: where one step advances a curve by more
+than pi/2 rad, the 801 samples alias the oscillation in B, and their maxima
+describe the sampled points, not the curves between them.
 """
 
 import pathlib
@@ -24,7 +29,8 @@ OUT = pathlib.Path("demo_output")
 OUT.mkdir(exist_ok=True)
 
 print("field windows at t = 1 s (each 801 samples):")
-print(f"{'center (T)':>12} {'max |p - pT|':>14} {'max |pI - pT|':>14} {'pT ceiling':>12}")
+print(f"{'center (T)':>12} {'max |p - pT|':>14} {'max |pI - pT|':>14} {'pT ceiling':>12}"
+      f" {'rad/step':>10}")
 for center in (1e-4, 1.29e-3, 1.21e-2, 0.036):
     spec = SweepSpec(
         mode="field",
@@ -39,8 +45,10 @@ for center in (1e-4, 1.29e-3, 1.21e-2, 0.036):
     name = OUT / f"field_window_{center:g}T.csv"
     emit_csv(table, name)
     dev_improved, dev_traditional = table.rows(0, len(table))[:, 4:].T
+    phase = table.aliasing_phase
+    step = "<= pi/2" if phase is None else f"{phase:.3g}"
     print(f"{center:>12g} {dev_traditional.max():>14.3e}"
-          f" {dev_improved.max():>14.3e} {1 / (1 + u):>12.6f}   -> {name}")
+          f" {dev_improved.max():>14.3e} {1 / (1 + u):>12.6f} {step:>10}   -> {name}")
 
 print("\nat 0.036 T the perturbative regime is gone (B mu_e / W ~ 1.4):")
 config = HyperfineConfig(b_field=0.036)

@@ -28,6 +28,7 @@ moment is negative; only |mu_e| appears here).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -211,8 +212,7 @@ def exact_eigensystem_closed_form(
     normalized phi2/phi4 superpositions written in terms of
     omega42 = -4W and omega42_exact = E4 - E2. At B = 0 those formulas
     degenerate to 0/0 and the unperturbed limits phi2, phi4 are returned
-    instead. A gap past ``_checked_gaps``' rule, or a norm of Psi2 or Psi4
-    that is 0 or not finite, raises its ValueError.
+    instead. A gap past ``_checked_gaps``' rule raises its ValueError.
     """
     w = config.constants.w_ev
     x = config.coupling_ev
@@ -224,16 +224,24 @@ def exact_eigensystem_closed_form(
         omega42_exact = -2.0 * s
         a2 = omega42 + omega42_exact
         a4 = omega42 - omega42_exact
-        norm2 = math.sqrt(a2 * a2 + 4.0 * x * x)  # Python floats: inf, not a warning
-        norm4 = math.sqrt(a4 * a4 + 4.0 * x * x)
-        if not (0.0 < norm2 < math.inf and 0.0 < norm4 < math.inf):
-            raise ValueError(_LEAVE_FLOAT64.format(config.b_field, 0.0))
+        # |a| <= 4W + 2s and |x| <= s stay finite under the gap rule, so each
+        # norm is finite and, as x != 0, positive
+        norm2, norm4 = _norm(a2, x), _norm(a4, x)
         # columns are (phi2, phi4) components of Psi2 and Psi4
         vectors[1, 1] = a2 / norm2
         vectors[3, 1] = -2.0 * x / norm2
         vectors[1, 3] = a4 / norm4
         vectors[3, 3] = -2.0 * x / norm4
     return energies, vectors
+
+
+def _norm(a: float, x: float) -> float:
+    """|(a, 2x)| in Python floats: sqrt(a a + 4 x x) where that sum is a normal
+    float, else ``math.hypot``, which neither overflows nor loses a subnormal's bits."""
+    square = a * a + 4.0 * x * x
+    if sys.float_info.min <= square < math.inf:
+        return math.sqrt(square)
+    return math.hypot(a, 2.0 * x)
 
 
 def improved_energies_closed_form(config: HyperfineConfig) -> NDArray[np.float64]:
@@ -291,12 +299,13 @@ _DEVIATION_CAP = 1.0 + (2 * _SIN_ULPS + 2) * _EPS
 _ASIN_ULPS = 4
 
 
-@np.errstate(over="ignore")  # an infinite rate only shrinks the certified run
-def _deviation_envelope(w: float, x: float, hbar: float):
+def _deviation_envelope(w: float, x: float, hbar: float, gaps):
     """Certified envelope of the deviations ``_normalized_triple`` yields at a scalar x.
 
-    Returns ``(rates, floor)``, rates ordered (traditional, improved). For
-    curve i, every deviation |p_i - p_exact| computed in float64 from
+    Returns ``(rates, floor)``, rates ordered (traditional, improved), in Python
+    floats from ``gaps``, the curves' own (exact, improved) gaps at x that
+    ``_checked_gaps`` returns; it evaluates no gap. For curve i, every
+    deviation |p_i - p_exact| computed in float64 from
     ``_normalized_triple(w, x, hbar, t)`` obeys
 
         dev <= min(_DEVIATION_CAP, sin(min(rates[i] |t|, pi/2)) + floor).
@@ -343,25 +352,24 @@ def _deviation_envelope(w: float, x: float, hbar: float):
     and 1 - (_ASIN_ULPS + 4) e outweighs all three. A quotient below the
     normal range errs by at most 2**-1074 absolutely, which is subtracted.
     """
-    exact, improved = _gaps(w, np.asarray(x, dtype=np.float64))  # the curves' own bits
-    others = np.array([2.0 * w, improved])
-    rates = (np.abs(exact - others) + _EPS * (exact + others)) / hbar * (1.0 + 4.0 * _EPS)
+    exact, improved = (gap.item() for gap in gaps)
+    rates = tuple((abs(exact - other) + _EPS * (exact + other)) / hbar * (1.0 + 4.0 * _EPS)
+                  for other in (2.0 * w, improved))
     u = (x * x) / (4.0 * w * w)
-    return rates, float(u / (1.0 + u) + _FLOOR_EPS * _EPS)
+    return rates, u / (1.0 + u) + _FLOOR_EPS * _EPS
 
 
-@np.errstate(over="ignore", divide="ignore")
 def _safe_time(rate: float, floor: float, threshold: float) -> float:
-    """A |t| up to which sin(min(rate |t|, pi/2)) + floor <= threshold
-    holds for certain, by the rounding argument of ``_deviation_envelope``:
-    inf when no computed deviation can exceed it or asin(margin) / rate
-    overflows, -inf when not even at t = 0. ``floor`` comes from the envelope,
-    so it is at least _FLOOR_EPS eps and the margin below the cap is < 1."""
+    """A |t| up to which sin(min(rate |t|, pi/2)) + floor <= threshold holds for
+    certain, by the rounding argument of ``_deviation_envelope``: inf when no computed
+    deviation can exceed it, the rate is 0 or asin(margin) / rate overflows, -inf when
+    not even at t = 0. ``floor`` comes from the envelope, so it is at least _FLOOR_EPS
+    eps and the margin below the cap is < 1."""
     if threshold >= _DEVIATION_CAP:
         return math.inf
     margin = math.nextafter(threshold - floor, 0.0)
-    if not margin > 0.0:
-        return -math.inf
+    if not (margin > 0.0 and rate > 0.0):
+        return math.inf if margin > 0.0 else -math.inf
     return math.asin(margin) / rate * (1.0 - (_ASIN_ULPS + 4) * _EPS) - 2.0**-1074
 
 

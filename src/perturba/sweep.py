@@ -4,22 +4,23 @@
 grid: a ``_Grid`` computes any slice of the abscissas on demand, bit-equal
 to numpy's ``linspace`` or ``geomspace``, and is the one place the grid's
 geometry is written down. The table alone reads W, mu_e and hbar, refuses
-phases that leave float64 and keeps the fastest rate for its
-``aliasing_phase``. One walker splits row ranges into chunks of at most
-``_CHUNK_ROWS``, so neither ``emit_csv`` nor ``first_crossings`` holds more
-than one chunk. ``emit_csv`` takes whole chunks and evaluates each into the
-CSV's six columns, the rows, the three curves and their absolute deviations
-from the exact one. ``first_crossings`` starts each range it walks at
-``_FIRST_CROSSING_ROWS`` and doubles, since a crossing often lies a few rows
-in. Output is deterministic down to the byte for identical inputs.
+phases that leave float64, and keeps the gaps it checked and their fastest
+rate for the divergence certificate and ``aliasing_phase``. One walker
+splits row ranges into chunks of at most ``_CHUNK_ROWS``, so neither
+``emit_csv`` nor ``first_crossings`` holds more than one chunk.
+``emit_csv`` takes whole chunks and evaluates each into the CSV's six
+columns, the rows, the three curves and their absolute deviations from the
+exact one. ``first_crossings`` starts each range it walks at
+``_FIRST_CROSSING_ROWS`` and doubles, since a crossing often lies a few
+rows in. Output is deterministic down to the byte for identical inputs.
 
 ``first_crossings`` owns the divergence query: it rejects a field sweep or
 a threshold that is not > 0 before it evaluates a row, then walks each
 curve alone over the rows of the time sweep that its certified deviation
-envelope (``hyperfine._deviation_envelope``, inverted by ``_safe_time``)
-leaves open, and stops at that curve's first crossing. A curve certified
-on every row is never evaluated; where both are open over the same rows,
-the exact curve is computed once per walk.
+envelope (``hyperfine._deviation_envelope`` of the table's gaps, inverted
+by ``_safe_time``) leaves open, and stops at that curve's first crossing. A
+curve certified on every row is never evaluated; where both are open over
+the same rows, the exact curve is computed once per walk.
 
 CSV text is the bytes of ``'%.16e'`` per value, written chunk by chunk
 in one of two ways. Where every value's text has the field's width, it
@@ -164,30 +165,79 @@ class SweepTable:
     divergence walk reads; slices agree, as a row depends on its grid value
     alone. Only the constructor reads W, mu_e, hbar and a held x = B mu_e.
     It refuses (InvalidSweepSpec) by ``hyperfine._checked_gaps``' rule at the
-    spec's largest |B| and |t|, and keeps its fastest rate; a field range's
-    ends hold the largest gaps: the improved peak 3W < exact 3.46W."""
+    spec's largest |t| and at the fields it checks, and keeps that one
+    evaluation of the gaps with its fastest rate: a time sweep checks its
+    held field, whose gaps the divergence certificate reads, and a field
+    sweep its range's ends, which hold the largest gaps (the improved peak
+    3W < exact 3.46W), and its last step, which ``aliasing_phase`` reads."""
 
     def __init__(self, spec: SweepSpec, constants: PhysicalConstants = PhysicalConstants()):
         self.spec, self.constants, self.x = spec, constants, _Grid(spec)
         held, ends = (spec.fixed_value,), (spec.start, spec.stop)
-        b_fields, times = (held, ends) if spec.mode == "time" else (ends, held)
+        time = spec.mode == "time"
+        b_fields, times = (held, ends) if time else ((spec.start, self.x[-2], spec.stop), held)
         try:
-            self._fastest = _checked_gaps(constants, b_fields, max(map(abs, times)))[1]
+            self._gaps, self._fastest = _checked_gaps(constants, b_fields, max(map(abs, times)))
         except ValueError as refusal:
             raise InvalidSweepSpec(str(refusal)) from refusal
         self._w, self._mu = constants.w_ev, constants.mu_e_ev_per_tesla
         self._hbar = constants.hbar_evs
-        self._held_x = self._mu * spec.fixed_value if spec.mode == "time" else None
+        self._held_x = self._mu * spec.fixed_value if time else None
 
     @property
     def aliasing_phase(self) -> float | None:
-        """The phase (rad) by which the fastest curve sin^2(rate t) of a time
-        sweep advances over its widest grid step, the first or the last, if
-        above pi/2 (under two samples per period); else None."""
-        if self.spec.mode != "time":
-            return None
-        phase = self._fastest * float(max(self.x[1] - self.x[0], self.x[-1] - self.x[-2]))
+        """The phase (rad) by which one grid step advances the curves, if
+        above pi/2 (under two samples per period of the fastest sin^2); else
+        None. For a time sweep it is the fastest rate times the widest grid
+        step, the first or the last; for a field sweep the bound of
+        ``_field_step_phase``."""
+        if self.spec.mode == "time":
+            phase = self._fastest * float(max(self.x[1] - self.x[0], self.x[-1] - self.x[-2]))
+        else:
+            phase = self._field_step_phase()
         return phase if phase > math.pi / 2 else None
+
+    def _field_step_phase(self) -> float:
+        """A bound on the phase by which any step of a field sweep advances a
+        curve: on every step, |gap(B_i+1) - gap(B_i)| |t| / hbar as float64
+        computes it from the curves' gaps, exact or improved, stays below it.
+        The traditional curve does not move with B.
+
+        Where: in exact arithmetic no step advances a curve further than the
+        last step advances one. Over a step of x = B mu_e a curve advances by
+        the integral of its gap's slope, and on a log grid, whose steps have
+        equal width in ln x, of x times that slope. The exact gap's slope
+        x / sqrt(4W^2 + x^2) rises with x, and so does x times it. The
+        improved gap's slope x/2W - x^3/16W^3 is positive up to z = 2 sqrt(2) W
+        and there at most the exact one's, as (4 + s)(8 - s)^2 <= 256 for
+        s = x^2/W^2 in [0, 8]; past z its magnitude, and x times it, rise with
+        x. So the exact curve's last step outruns any step where the improved
+        gap rises, the improved curve's last step any where it falls, and a
+        step across z advances less than one of those.
+
+        Rounding, with e = 2**-52 and T = 2W + x^2/4W + x^4/64W^3 at the last
+        row (T is at least the exact gap, and at most 5 top, top the largest
+        |gap| checked, which the last row holds):
+        - a computed row of x lies within r x_max of the exact one, r = 4e on
+          a linear grid; a log grid's exponents err by 9.5 e Y, Y the larger
+          |log10| of its ends, so there r = (22 Y + 4) e;
+        - either slope times x_max is at most 4T, so moving a row moves a gap
+          by at most 4 r T, and a computed gap errs by at most 8 e T, for
+          W >= 2**-257 eV, above which no subnormal in ``_gaps`` errs more.
+        Any step then advances at most 16 r T + 32 e T further than the last
+        step: both steps' rows move, and all four gaps err. Three roundings
+        each of the phase and of the bound below are covered by 8 e top, as no
+        advance exceeds 2 top; so the slack 80 r top + 168 e top, at most
+        512 (1 + 4 Y) e top (Y = 0 on a linear grid), is added to the last
+        step's larger advance."""
+        curves = [gap.tolist() for gap in self._gaps]
+        advance = max(abs(gap[-1] - gap[-2]) for gap in curves)
+        top = max(abs(value) for gap in curves for value in gap)
+        spec = self.spec
+        decades = (max(abs(math.log10(spec.start)), abs(math.log10(spec.stop)))
+                   if spec.scale == "log" else 0.0)
+        slack = 512.0 * (1.0 + 4.0 * decades) * sys.float_info.epsilon * top
+        return (advance + slack) / self._hbar * abs(spec.fixed_value)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -237,7 +287,7 @@ def first_crossings(table: SweepTable, threshold: float) -> tuple[float, float]:
         )
     if not threshold > 0.0:
         raise InvalidSweepSpec(f"threshold must be positive, got {threshold}")
-    rates, floor = _deviation_envelope(table._w, table._held_x, table._hbar)
+    rates, floor = _deviation_envelope(table._w, table._held_x, table._hbar, table._gaps)
     return tuple(_first_crossing(table, curve, _safe_time(rate, floor, threshold), threshold)
                  for curve, rate in enumerate(rates))
 

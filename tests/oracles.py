@@ -10,7 +10,8 @@ are also kept in their unhurried forms, which compute every check and
 every product for each input, so the fast paths must match them bit for bit;
 so are ``redivide``, ``improved_energies`` and the exact transition as they
 were before they stopped repeating work that validation had already done,
-and the first-order transitions' numpy-scalar arithmetic.
+the first-order transitions' numpy-scalar arithmetic, and the divergence
+certificate's numpy form, before it read the sweep table's gaps.
 """
 
 import math
@@ -302,6 +303,39 @@ def first_crossings(table, threshold):
         return float(table.x[hits[0]]) if hits.size else math.inf
 
     return first(table.dev_traditional), first(table.dev_improved)
+
+
+#: e = 2**-52; the certificate's floor allowance 24 e, cap 1 + 10 e and
+#: asin factor 1 - 8 e below are hyperfine._deviation_envelope's derivation
+CERTIFICATE_EPS = 2.0**-52
+
+
+@np.errstate(over="ignore")  # an infinite rate only shrinks the certified run
+def reference_deviation_envelope(w, x, hbar):
+    """``hyperfine._deviation_envelope`` as it was before it read the table's
+    gaps: it evaluates the curves' gaps itself, at x as a 0-d array, and its
+    rates as a numpy array under ``np.errstate``."""
+    from perturba import hyperfine
+
+    eps = CERTIFICATE_EPS
+    exact, improved = hyperfine._gaps(w, np.asarray(x, dtype=np.float64))
+    others = np.array([2.0 * w, improved])
+    rates = (np.abs(exact - others) + eps * (exact + others)) / hbar * (1.0 + 4.0 * eps)
+    u = (x * x) / (4.0 * w * w)
+    return rates, float(u / (1.0 + u) + 24 * eps)
+
+
+@np.errstate(over="ignore", divide="ignore")
+def reference_safe_time(rate, floor, threshold):
+    """``hyperfine._safe_time`` as it was: a zero numpy rate divides to inf
+    under ``np.errstate``."""
+    eps = CERTIFICATE_EPS
+    if threshold >= 1.0 + 10 * eps:
+        return math.inf
+    margin = math.nextafter(threshold - floor, 0.0)
+    if not margin > 0.0:
+        return -math.inf
+    return math.asin(margin) / rate * (1.0 - 8 * eps) - 2.0**-1074
 
 
 def reference_csv_rows(rows):

@@ -409,12 +409,24 @@ class TestAliasingWarning:
         assert capsys.readouterr().err == ""
 
 
-    @pytest.mark.parametrize("mode, fixed, calls", [("time", "1e-3", 1), ("field", "1e-9", 2)])
+    def test_readme_field_sweep_warns(self, tmp_path, capsys):
+        # the README's log field sweep at t = 1 s: its last step advances the
+        # exact curve by 3.9e5 rad
+        args = ["--mode", "field", "--fixed", "1.0", "--start", "1e-4", "--stop", "1e-2",
+                "--samples", "2001", "--scale", "log", "--out", str(tmp_path / "sweep.csv")]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("perturba: warning: one grid step advances the fastest curve by "
+                                "3.92e+05 rad > pi/2; the grid aliases the oscillation\n")
+
+    @pytest.mark.parametrize("mode, fixed, calls", [("time", "1e-3", 1), ("field", "1e-9", 3)])
     def test_rates_are_read_once_per_field(self, monkeypatch, tmp_path, mode, fixed, calls):
         # the table checks the gaps of every field it holds in one call of
-        # the float64 rule, and keeps the fastest rate for the aliasing
-        # phase; sweep calls the rule nowhere else (the curves and the
-        # envelope evaluate their gaps inside hyperfine)
+        # the float64 rule, a time sweep's held field or a field sweep's
+        # start and last step, and keeps them, and the fastest rate, for the
+        # certificate or the aliasing phase; sweep calls the rule nowhere
+        # else (the curves evaluate their gaps inside hyperfine)
         evaluations = []
 
         def counting(constants, b_field, t_max=0.0):

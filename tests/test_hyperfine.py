@@ -278,21 +278,25 @@ class TestClosedForms:
     @pytest.mark.parametrize(
         "b_field, constants",
         [
-            # W = 2.2e153 eV: the finite energies came with a Psi2 column of
-            # zeros, as (omega42 + omega42_exact)^2 overflows in its norm
+            # W = 2.2e153 eV: (omega42 + omega42_exact)^2 overflows, and the
+            # plain norm gave Psi2 a column of zeros, later a refusal
             (1e-3, PhysicalConstants(planck_h=1e126)),
             # 4 (B mu_e)^2 underflows and the exact gap rounds to 2W: Psi4's
-            # norm is 0, and its column was nan
+            # plain norm is 0, and its column was nan, later a refusal
             (1e-300, PhysicalConstants()),
+            # 4 (B mu_e)^2 is subnormal: Psi4's plain length was 1 + 3.5e-3
+            (1e-157, PhysicalConstants()),
         ],
-        ids=["norm-overflows", "norm-underflows"],
+        ids=["norm-overflows", "norm-underflows", "norm-subnormal"],
     )
-    def test_eigenvector_norm_beyond_float64_raises(self, b_field, constants):
+    def test_eigenvector_norm_beyond_float64_is_unit(self, b_field, constants):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError) as refusal:
-                exact_eigensystem_closed_form(HyperfineConfig(b_field, constants))
-        assert str(refusal.value) == f"phases leave float64 at |B| <= {b_field:.3g} T, |t| <= 0 s"
+            energies, vectors = exact_eigensystem_closed_form(HyperfineConfig(b_field, constants))
+        assert np.isfinite(energies).all() and np.isfinite(vectors).all()
+        # Psi4 is exactly -phi4 there, as a4 = 0 and hypot(0, 2x) = 2x
+        assert vectors[:, 3].tolist() == [0.0, 0.0, 0.0, -1.0]
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(4), rtol=0.0, atol=4e-16)
 
     def test_one_route_for_the_gaps(self):
         # a Python float's or numpy scalar's x**4 is libm's pow and an

@@ -137,9 +137,10 @@ def test_only_the_sweep_table_builds_a_grid():
 
 def test_only_the_sweep_table_reads_the_sweep_rates():
     # one float64 rule for the curves' gaps: hyperfine._checked_gaps evaluates
-    # them as the curves do, and refuses; the table keeps its fastest rate for
-    # the aliasing phase. Every public reader of the gaps refuses through it,
-    # no finiteness check follows, and sweep evaluates no gap of its own
+    # them as the curves do, and refuses; the table keeps that evaluation and
+    # its fastest rate for the certificate and the aliasing phase. Every
+    # public reader of the gaps refuses through it, no finiteness check
+    # follows, and neither sweep nor the certificate evaluates a gap of its own
     assert callers("_checked_gaps") == [
         ("hyperfine", "exact_eigensystem_closed_form"),
         ("hyperfine", "improved_energies_closed_form"),
@@ -148,12 +149,32 @@ def test_only_the_sweep_table_reads_the_sweep_rates():
         ("sweep", "SweepTable.__init__"),
     ]
     assert callers("_gaps") == [("hyperfine", "_checked_gaps"),
-                                ("hyperfine", "_normalized_triple"),
-                                ("hyperfine", "_deviation_envelope")]
+                                ("hyperfine", "_normalized_triple")]
     assert [owner for module, owner in callers("isfinite") if module == "hyperfine"] == [
         "_checked_gaps", "_checked_gaps"
     ]
     assert [owner for module, owner in callers("angular_rates") if module == "sweep"] == []
+
+
+def test_errstate_stands_only_on_array_work_that_can_overflow():
+    # Python floats never warn, so scalar work needs no np.errstate; it
+    # decorates exactly the functions whose numpy array arithmetic can
+    # overflow, and stands nowhere else
+    decorated = [
+        (path.stem, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and any(getattr(getattr(decorator, "func", None), "attr", None) == "errstate"
+                for decorator in node.decorator_list)
+    ]
+    assert sorted(decorated) == sorted(callers("errstate")) == [
+        ("hermitian", "_asymmetry"),
+        ("hyperfine", "_checked_gaps"),
+        ("hyperfine", "build_problem"),
+        ("perturb", "_g_sums"),
+        ("perturb", "_store"),
+    ]
 
 
 def test_private_imports_cross_only_where_listed():

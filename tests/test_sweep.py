@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 from oracles import ColumnTable, reference_csv_rows
 
@@ -382,7 +382,7 @@ class TestDivergenceReport:
         # 1.0003 lies below 1 + floor, so only the cap on computed deviations
         # (1 + 10 eps) shows that no row of criterion 7's grid can cross it
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=3_000_000)
-        _, floor = hyperfine._deviation_envelope(*constants_and_field(1e-3))
+        _, floor = envelope_at(1e-3)
         assert hyperfine._DEVIATION_CAP < 1.0003 < 1.0 + floor
         full = oracles.first_crossings(oracles.run_sweep(spec, CONFIG), 1.0003)
         rows = counted_rows(monkeypatch)
@@ -423,6 +423,13 @@ def constants_and_field(b_field):
     return k.w_ev, k.mu_e_ev_per_tesla * b_field, k.hbar_evs
 
 
+def envelope_at(b_field):
+    """The certificate of a time sweep held at ``b_field``, read as
+    first_crossings reads it: from the gaps of the table's float64 rule."""
+    gaps, _ = hyperfine._checked_gaps(CONFIG.constants, (b_field,))
+    return hyperfine._deviation_envelope(*constants_and_field(b_field), gaps)
+
+
 @st.composite
 def time_specs(draw, max_samples=3 * sweep._CHUNK_ROWS + 100):
     """Time sweeps within +-reach, reach from 0.1 us (where the traditional
@@ -439,6 +446,27 @@ def time_specs(draw, max_samples=3 * sweep._CHUNK_ROWS + 100):
     samples = draw(st.one_of(st.integers(2, 64), st.integers(2, max_samples)))
     return SweepSpec(mode="time", fixed_value=b_field, start=start, stop=stop,
                      samples=samples, scale=scale)
+
+
+def powers_of_ten():
+    return st.floats(-300.0, 300.0).map(lambda k: 10.0**k)
+
+
+@st.composite
+def field_specs(draw):
+    """Field sweeps at t up to 1e4 s: linear ones from 0 or above, log ones,
+    over ranges from 1e-8 T to 100 T, which straddle the improved gap's
+    slope peaks near 0.04-0.05 T, or windows a few ulps to 1e-6 wide."""
+    scale = draw(st.sampled_from(sweep._SCALES))
+    start = 10.0 ** draw(st.floats(-8.0, 2.0))
+    if scale == "linear" and draw(st.booleans()):
+        start = 0.0
+    stop = draw(st.one_of(st.floats(-8.0, 2.0).map(lambda k: 10.0**k),
+                          st.floats(-15.5, -6.0).map(lambda k: start * (1.0 + 10.0**k))))
+    assume(start < stop)
+    samples = draw(st.one_of(st.integers(2, 64), st.integers(2, 5000)))
+    return SweepSpec(mode="field", fixed_value=10.0 ** draw(st.floats(-12.0, 4.0)),
+                     start=start, stop=stop, samples=samples, scale=scale)
 
 
 @st.composite
@@ -505,8 +533,9 @@ class TestGridBisect:
 
 
 class TestAliasingPhase:
-    """SweepTable.aliasing_phase is the fastest rate at the held field times
-    the widest grid step, when that exceeds pi/2; None otherwise."""
+    """SweepTable.aliasing_phase is the phase by which one grid step advances
+    the curves, when that exceeds pi/2; None otherwise. A time sweep's is
+    the fastest rate at the held field times the widest grid step."""
 
     @settings(max_examples=200, deadline=None)
     @given(time_specs())
@@ -527,9 +556,52 @@ class TestAliasingPhase:
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=-3e298, stop=3e298, samples=2)
         assert SweepTable(spec).aliasing_phase == math.inf
 
-    def test_field_sweeps_have_none(self):
-        spec = SweepSpec(mode="field", fixed_value=1.0, start=1e-4, stop=1e-2, samples=2)
-        assert SweepTable(spec).aliasing_phase is None
+    @settings(max_examples=300, deadline=None)
+    @given(field_specs(), st.one_of(st.just(0), st.integers(-290, 290)))
+    # one 1e-4..1e-2 T step at t = 1 s: 8.6e7 rad
+    @example(SweepSpec(mode="field", fixed_value=1.0, start=1e-4, stop=1e-2, samples=2), 0)
+    # 2,000 steps across the improved gap's steepest rise, at 0.0415 T on a
+    # linear grid and 0.0508 T on a log one: the exact curve's last step
+    # still advances further
+    @example(SweepSpec(mode="field", fixed_value=1e-6, start=0.0, stop=0.1, samples=2001), 0)
+    @example(SweepSpec(mode="field", fixed_value=1e-6, start=1e-3, stop=1.0, samples=2001,
+                       scale="log"), 0)
+    # steps of an ulp or less, whose advance is the gaps' rounding alone
+    @example(SweepSpec(mode="field", fixed_value=1e4, start=1e-3, stop=1e-3 * (1 + 1e-14),
+                       samples=500), 0)
+    # near 1e134 T a log grid's rows err by up to some 300 ulps, where its
+    # steps are 11 ulps wide, and a middle step advances the improved curve
+    # by 15.7 rad, ten times the last step's 1.5
+    @example(SweepSpec(mode="field", fixed_value=5.1, start=0.612462021266113,
+                       stop=0.6124620212665454, samples=290, scale="log"), 134)
+    def test_field_sweeps_bound_every_step(self, spec, decade):
+        # the phase by which any step of the evaluated grid advances the
+        # exact or the improved curve is never above the table's, and the
+        # table reports None only where no step advances by more than pi/2.
+        # The fields are 10^decade times the drawn ones and mu_e 10^-decade
+        # times the default, which keeps x = B mu_e: a log grid far from 1 T
+        # has exponents, and so rows, that err the most
+        scale = 10.0**decade
+        spec = dataclasses.replace(spec, start=spec.start * scale, stop=spec.stop * scale)
+        assume(spec.start < spec.stop)
+        constants = PhysicalConstants(mu_e=CONFIG.constants.mu_e / scale)
+        w, mu, hbar = constants.w_ev, constants.mu_e_ev_per_tesla, constants.hbar_evs
+        advance = max(np.abs(np.diff(gap)).max()
+                      for gap in hyperfine._gaps(w, mu * sweep._Grid(spec)[:]))
+        advance *= abs(spec.fixed_value) / hbar
+        phase = SweepTable(spec, constants).aliasing_phase
+        assert advance <= (math.pi / 2 if phase is None else phase)
+
+    def test_readme_field_sweep_reads_its_steepest_step(self):
+        # the last step of the README's log field sweep at t = 1 s advances
+        # the exact curve by 3.9e5 rad; the table's bound adds only the
+        # rounding slack, 512 (1 + 4 * 4) eps of the 2W gap, 2.2e-8 of it
+        spec = SweepSpec(mode="field", fixed_value=1.0, start=1e-4, stop=1e-2, samples=2001,
+                         scale="log")
+        k = CONFIG.constants
+        exact = hyperfine._gaps(k.w_ev, k.mu_e_ev_per_tesla * sweep._Grid(spec)[-2:])[0]
+        last = (exact[1] - exact[0]) / k.hbar_evs
+        assert 3.9e5 < last < SweepTable(spec).aliasing_phase < last * (1 + 3e-8)
 
 
 class TestPrunedDivergence:
@@ -556,8 +628,7 @@ class TestPrunedDivergence:
     @settings(max_examples=300, deadline=None)
     @given(time_specs(), st.data())
     def test_equals_full_scan(self, spec, data):
-        w, x, hbar = constants_and_field(spec.fixed_value)
-        rates, floor = hyperfine._deviation_envelope(w, x, hbar)
+        rates, floor = envelope_at(spec.fixed_value)
         reach = rates[data.draw(st.integers(0, 1))] * max(abs(spec.start), abs(spec.stop))
 
         def envelope(fraction):  # at fraction * the grid's widest |t|
@@ -588,8 +659,7 @@ class TestPrunedDivergence:
     @settings(max_examples=100, deadline=None)
     @given(time_specs(max_samples=5000))
     def test_deviations_stay_within_envelope(self, spec):
-        w, x, hbar = constants_and_field(spec.fixed_value)
-        rates, floor = hyperfine._deviation_envelope(w, x, hbar)
+        rates, floor = envelope_at(spec.fixed_value)
         table = oracles.run_sweep(spec, CONFIG)
         for rate, dev in zip(rates, (table.dev_traditional, table.dev_improved)):
             assert np.all(dev <= np.minimum(1.0, rate * np.abs(table.x)) + floor)
@@ -602,7 +672,7 @@ class TestPrunedDivergence:
             w, x, hbar = constants_and_field(b_field)
             exact = math.sqrt(4.0 * w * w + x * x)
             improved = 2.0 * w + x * x / (4.0 * w) - x**4 / (4.0 * w) ** 3
-            rates, floor = hyperfine._deviation_envelope(w, x, hbar)
+            rates, floor = envelope_at(b_field)
             for rate, other in zip(rates, (2.0 * w, improved)):
                 # the slip rate plus two roundings per phase, rounded up
                 assert rate == (abs(exact - other) + eps * (exact + other)) / hbar * (1 + 4 * eps)
@@ -619,7 +689,7 @@ class TestPrunedDivergence:
         # criterion 7: the improved curve provably stays within 0.5 up to
         # 31.80 s. The gaps part at the x^6 / 512 W^5 term of the square root.
         w, x, hbar = constants_and_field(1e-3)
-        rates, floor = hyperfine._deviation_envelope(w, x, hbar)
+        rates, floor = envelope_at(1e-3)
         u = x * x / (4.0 * w * w)
         by_hand = math.asin(0.5 - u / (1.0 + u)) / (x**6 / (512.0 * w**5) / hbar)
         assert hyperfine._safe_time(rates[1], floor, 0.5) == pytest.approx(by_hand, rel=1e-3)
@@ -632,7 +702,7 @@ class TestPrunedDivergence:
         assert cap < 1.0 + hyperfine._FLOOR_EPS * hyperfine._EPS
         # the widest margin below the cap, at B = 0 (floor 24 eps): 1 - 15 eps
         # rounds down to 1 - 15.5 eps, where asin's slope is about 1e7
-        zero_rates, zero_floor = hyperfine._deviation_envelope(*constants_and_field(0.0))
+        zero_rates, zero_floor = envelope_at(0.0)
         near_one = math.asin(1.0 - 15.5 * eps) / zero_rates[0] * (1 - 8 * eps) - 2.0**-1074
         assert hyperfine._safe_time(zero_rates[0], zero_floor, 1.0 + 9 * eps) == near_one
         assert hyperfine._safe_time(rates[1], floor, cap) == math.inf
@@ -655,30 +725,85 @@ class TestPrunedDivergence:
         assert sweep._unsafe_rows(grid(0.0, 8.0), 2.5) == [(0, 0), (2, 9)]
 
     def test_envelope_reads_the_gaps_the_curves_compute(self, monkeypatch):
-        # the certificate bounds the phases the curves compute, and the
-        # table's refusal checks them, so the table's float64 rule (one field
-        # in an array) and the envelope (a 0-d array) evaluate x^4 as
-        # _normalized_triple does, by numpy's power of a float64 array; a
-        # Python float's ** differs by an ulp at some of these fields
-        gaps, improved = hyperfine._gaps, []
+        # the certificate bounds the phases the curves compute: first_crossings
+        # hands the envelope the very arrays the table's float64 rule
+        # evaluated (one field in an array), and the envelope evaluates no gap
+        # of its own. The rule and the curves evaluate x^4 alike, by numpy's
+        # power of a float64 array, so they see the same bits; a Python
+        # float's ** differs by an ulp at some of these fields
+        gaps, improved, checked, handed = hyperfine._gaps, [], [], []
 
         def recording(w, x):
             exact, gap = gaps(w, x)
             improved.append(float(np.ravel(gap)[0]))
             return exact, gap
 
+        def checking(*args):
+            checked.append(hyperfine._checked_gaps(*args))
+            return checked[-1]
+
+        def enveloping(w, x, hbar, table_gaps):
+            handed.append(table_gaps)
+            return hyperfine._deviation_envelope(w, x, hbar, table_gaps)
+
         monkeypatch.setattr(hyperfine, "_gaps", recording)
+        monkeypatch.setattr(sweep, "_checked_gaps", checking)
+        monkeypatch.setattr(sweep, "_deviation_envelope", enveloping)
         differ = []
         for b_field in 10.0 ** np.random.default_rng(35).uniform(-2.0, 1.0, 1000):
-            improved.clear()
+            for record in (improved, checked, handed):
+                record.clear()
             table = SweepTable(SweepSpec(mode="time", fixed_value=float(b_field), start=0.0,
                                          stop=1e-9, samples=3))
-            hyperfine._deviation_envelope(table._w, table._held_x, table._hbar)
+            assert first_crossings(table, 2.0) == (math.inf, math.inf)  # walks no row
             table.deviation(0, 3, 1)
-            refusal, envelope, curves = improved
-            if not refusal.hex() == envelope.hex() == curves.hex():
+            [(refusal, _)], [envelope] = checked, handed
+            assert envelope is refusal
+            checked_bits, curves = improved
+            if not checked_bits.hex() == float(refusal[1][0]).hex() == curves.hex():
                 differ.append(b_field)
         assert differ == []
+
+    CERTIFICATE_THRESHOLDS = st.lists(st.one_of(
+        st.floats(0.0, 1.1, exclude_min=True),
+        st.sampled_from(["floor", "above the floor", "1 + floor", "below the cap", "cap"]),
+    ), min_size=1, max_size=4)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(powers_of_ten(), powers_of_ten(), st.one_of(st.just(0.0), powers_of_ten()),
+           CERTIFICATE_THRESHOLDS)
+    # the slip rates underflow to 0
+    @example(2.5e-31, 1e290 / (2.0 * math.pi), 0.0, ["floor", "above the floor", 0.5])
+    # the improved curve's slip rate overflows to inf
+    @example(1.468581452963356e-06, 6.582119152403604e-16, 2.213037880314617e+69, [0.5])
+    def test_certificate_keeps_the_numpy_forms_bits(self, w, hbar, b_field, thresholds):
+        # the envelope's rates and floor and each safe time, in Python floats
+        # from the table's gaps, carry the bits of the numpy forms they
+        # replaced, inf and -inf included, and warn nothing. W, B and hbar at
+        # 10^U(-300, 300) or B = 0, with mu_e = e = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                h = 2.0 * math.pi * hbar
+                constants = PhysicalConstants(mu_e=1.0, elementary_charge=1.0, planck_h=h,
+                                              delta_nu_h=4.0 * w / h)
+                table = SweepTable(SweepSpec(mode="time", fixed_value=b_field, start=0.0,
+                                             stop=1e-300, samples=2), constants)
+            except ValueError:
+                reject()
+            args = table._w, table._held_x, table._hbar
+            rates, floor = hyperfine._deviation_envelope(*args, table._gaps)
+            old_rates, old_floor = oracles.reference_deviation_envelope(*args)
+            assert [rate.hex() for rate in rates] == [float(rate).hex() for rate in old_rates]
+            assert floor.hex() == old_floor.hex()
+            named = {"floor": floor, "above the floor": math.nextafter(floor, 2.0),
+                     "1 + floor": 1.0 + floor, "below the cap": 1.0 + 9 * 2.0**-52,
+                     "cap": hyperfine._DEVIATION_CAP}
+            for threshold in (named.get(value, value) for value in thresholds):
+                for rate, old_rate in zip(rates, old_rates):
+                    safe = hyperfine._safe_time(rate, floor, threshold)
+                    old_safe = oracles.reference_safe_time(old_rate, old_floor, threshold)
+                    assert safe.hex() == old_safe.hex()
 
     @pytest.mark.parametrize(
         "b_field, stop, constants, crossings",
@@ -848,7 +973,7 @@ class TestWalker:
 
         monkeypatch.setattr(sweep, "_normalized_triple", recording)
         spec = SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=30.0, samples=200_000)
-        rates, floor = hyperfine._deviation_envelope(*constants_and_field(1e-3))
+        rates, floor = envelope_at(1e-3)
         assert hyperfine._safe_time(rates[1], floor, 1.0) > 30.0
         assert first_crossings(SweepTable(spec), 1.0) == (math.inf, math.inf)
         assert sum(rows for rows, _, _ in switches) == spec.samples
@@ -861,7 +986,7 @@ class TestWalker:
 
     def rising_table(self):
         table = oracles.run_sweep(self.RISING, CONFIG)
-        _, floor = hyperfine._deviation_envelope(*constants_and_field(self.RISING.fixed_value))
+        _, floor = envelope_at(self.RISING.fixed_value)
         for dev in (table.dev_traditional, table.dev_improved):
             assert np.all(np.diff(dev[1:]) > 0.0) and dev[-1] < floor
         return table
@@ -877,7 +1002,7 @@ class TestWalker:
         # double from 64 rows in each range, up to 2,048
         spec = dataclasses.replace(self.RISING, start=start)
         table = oracles.run_sweep(spec, CONFIG)
-        rates, floor = hyperfine._deviation_envelope(*constants_and_field(spec.fixed_value))
+        rates, floor = envelope_at(spec.fixed_value)
         top = max(table.dev_traditional.max(), table.dev_improved.max())
         threshold = top if start == 0.0 else floor + math.sin(rates[0] * 1e-10)
         assert top <= threshold and (threshold < floor) == (start == 0.0)
