@@ -28,7 +28,6 @@ moment is negative; only |mu_e| appears here).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -225,23 +224,15 @@ def exact_eigensystem_closed_form(
         a2 = omega42 + omega42_exact
         a4 = omega42 - omega42_exact
         # |a| <= 4W + 2s and |x| <= s stay finite under the gap rule, so each
-        # norm is finite and, as x != 0, positive
-        norm2, norm4 = _norm(a2, x), _norm(a4, x)
+        # norm is finite and, as x != 0, positive; hypot neither overflows
+        # nor loses a subnormal's bits
+        norm2, norm4 = math.hypot(a2, 2.0 * x), math.hypot(a4, 2.0 * x)
         # columns are (phi2, phi4) components of Psi2 and Psi4
         vectors[1, 1] = a2 / norm2
         vectors[3, 1] = -2.0 * x / norm2
         vectors[1, 3] = a4 / norm4
         vectors[3, 3] = -2.0 * x / norm4
     return energies, vectors
-
-
-def _norm(a: float, x: float) -> float:
-    """|(a, 2x)| in Python floats: sqrt(a a + 4 x x) where that sum is a normal
-    float, else ``math.hypot``, which neither overflows nor loses a subnormal's bits."""
-    square = a * a + 4.0 * x * x
-    if sys.float_info.min <= square < math.inf:
-        return math.sqrt(square)
-    return math.hypot(a, 2.0 * x)
 
 
 def improved_energies_closed_form(config: HyperfineConfig) -> NDArray[np.float64]:

@@ -224,12 +224,16 @@ class SweepTable:
         - either slope times x_max is at most 4T, so moving a row moves a gap
           by at most 4 r T, and a computed gap errs by at most 8 e T, for
           W >= 2**-257 eV, above which no subnormal in ``_gaps`` errs more.
+          Below it a subnormal x^4 or (4W)^3 may lose most of its bits, so
+          no finite bound is derived and the phase is inf.
         Any step then advances at most 16 r T + 32 e T further than the last
         step: both steps' rows move, and all four gaps err. Three roundings
         each of the phase and of the bound below are covered by 8 e top, as no
         advance exceeds 2 top; so the slack 80 r top + 168 e top, at most
         512 (1 + 4 Y) e top (Y = 0 on a linear grid), is added to the last
         step's larger advance."""
+        if self._w < 2.0**-257:
+            return math.inf
         curves = [gap.tolist() for gap in self._gaps]
         advance = max(abs(gap[-1] - gap[-2]) for gap in curves)
         top = max(abs(value) for gap in curves for value in gap)

@@ -11,12 +11,20 @@ every product for each input, so the fast paths must match them bit for bit;
 so are ``redivide``, ``improved_energies`` and the exact transition as they
 were before they stopped repeating work that validation had already done,
 the first-order transitions' numpy-scalar arithmetic, and the divergence
-certificate's numpy form, before it read the sweep table's gaps.
+certificate's numpy form, before it read the sweep table's gaps. The
+hypothesis strategy the modules share for inputs across float64's range
+lives here too.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
+
+
+def powers_of_ten():
+    """10^k for k in [-300, 300]: magnitudes across float64's normal range."""
+    return st.floats(-300.0, 300.0).map(lambda k: 10.0**k)
 
 
 def brute_g2(d, g1, beta):

@@ -13,6 +13,7 @@ import oracles
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import powers_of_ten
 
 import perturba
 from perturba import (
@@ -439,10 +440,6 @@ class TestAliasingWarning:
         threshold = ["--threshold", "0.5"] if mode == "time" else []
         assert main([*args, *threshold]) == 0
         assert [x.shape for x in evaluations] == [(calls,)]
-
-
-def powers_of_ten():
-    return st.floats(-300.0, 300.0).map(lambda k: 10.0**k)
 
 
 class TestExtremeSpecs:

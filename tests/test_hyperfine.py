@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import powers_of_ten
 
 from perturba import hyperfine
 from perturba import (
@@ -499,10 +500,6 @@ class TestFloat64Edge:
         assert all(np.isfinite(rate).all() for rate in angular_rates(config.constants, b_field))
         curves = normalized_probabilities(config, np.array([0.0, 1e-9, 1.0]))
         assert all(np.isfinite(curve).all() for curve in curves)
-
-
-def powers_of_ten():
-    return st.floats(-300.0, 300.0).map(lambda k: 10.0**k)
 
 
 def engine_chain(config, t):

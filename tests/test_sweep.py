@@ -19,7 +19,7 @@ import oracles
 import pytest
 from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
-from oracles import ColumnTable, reference_csv_rows
+from oracles import ColumnTable, powers_of_ten, reference_csv_rows
 
 from perturba import (
     HyperfineConfig,
@@ -448,10 +448,6 @@ def time_specs(draw, max_samples=3 * sweep._CHUNK_ROWS + 100):
                      samples=samples, scale=scale)
 
 
-def powers_of_ten():
-    return st.floats(-300.0, 300.0).map(lambda k: 10.0**k)
-
-
 @st.composite
 def field_specs(draw):
     """Field sweeps at t up to 1e4 s: linear ones from 0 or above, log ones,
@@ -557,34 +553,47 @@ class TestAliasingPhase:
         assert SweepTable(spec).aliasing_phase == math.inf
 
     @settings(max_examples=300, deadline=None)
-    @given(field_specs(), st.one_of(st.just(0), st.integers(-290, 290)))
+    @given(field_specs(), st.one_of(st.just(0), st.integers(-290, 290)),
+           st.one_of(st.just(0), st.integers(-102, 70)))
     # one 1e-4..1e-2 T step at t = 1 s: 8.6e7 rad
-    @example(SweepSpec(mode="field", fixed_value=1.0, start=1e-4, stop=1e-2, samples=2), 0)
+    @example(SweepSpec(mode="field", fixed_value=1.0, start=1e-4, stop=1e-2, samples=2), 0, 0)
     # 2,000 steps across the improved gap's steepest rise, at 0.0415 T on a
     # linear grid and 0.0508 T on a log one: the exact curve's last step
     # still advances further
-    @example(SweepSpec(mode="field", fixed_value=1e-6, start=0.0, stop=0.1, samples=2001), 0)
+    @example(SweepSpec(mode="field", fixed_value=1e-6, start=0.0, stop=0.1, samples=2001), 0, 0)
     @example(SweepSpec(mode="field", fixed_value=1e-6, start=1e-3, stop=1.0, samples=2001,
-                       scale="log"), 0)
+                       scale="log"), 0, 0)
     # steps of an ulp or less, whose advance is the gaps' rounding alone
     @example(SweepSpec(mode="field", fixed_value=1e4, start=1e-3, stop=1e-3 * (1 + 1e-14),
-                       samples=500), 0)
+                       samples=500), 0, 0)
     # near 1e134 T a log grid's rows err by up to some 300 ulps, where its
     # steps are 11 ulps wide, and a middle step advances the improved curve
     # by 15.7 rad, ten times the last step's 1.5
     @example(SweepSpec(mode="field", fixed_value=5.1, start=0.612462021266113,
-                       stop=0.6124620212665454, samples=290, scale="log"), 134)
-    def test_field_sweeps_bound_every_step(self, spec, decade):
+                       stop=0.6124620212665454, samples=290, scale="log"), 134, 0)
+    # at W = 1.5e-80 eV, below 2**-257, x^4 is subnormal and the improved
+    # gap's rounding outruns the slack: an inner step advances 11,054 rad,
+    # the bound without its W gate 10,328
+    @example(SweepSpec(mode="field", fixed_value=1.0, start=1.0, stop=1.0000000008520666,
+                       samples=28, scale="log"), 78, -74)
+    def test_field_sweeps_bound_every_step(self, spec, decade, w_decade):
         # the phase by which any step of the evaluated grid advances the
         # exact or the improved curve is never above the table's, and the
         # table reports None only where no step advances by more than pi/2.
         # The fields are 10^decade times the drawn ones and mu_e 10^-decade
         # times the default, which keeps x = B mu_e: a log grid far from 1 T
-        # has exponents, and so rows, that err the most
-        scale = 10.0**decade
+        # has exponents, and so rows, that err the most. W and hbar are
+        # 10^w_decade times the defaults, through planck_h, and mu_e with
+        # them, which keeps x / W and the rates: from W = 1.5e-108 eV, about
+        # the least whose (4W)^3 is not 0, to 1.5e64 eV, where the largest
+        # x^4 stays finite, so the gap rule passes every draw
+        scale, w_scale = 10.0**decade, 10.0**w_decade
         spec = dataclasses.replace(spec, start=spec.start * scale, stop=spec.stop * scale)
         assume(spec.start < spec.stop)
-        constants = PhysicalConstants(mu_e=CONFIG.constants.mu_e / scale)
+        default = CONFIG.constants
+        mu_e = default.mu_e / scale * w_scale
+        assume(0.0 < mu_e < math.inf)
+        constants = PhysicalConstants(mu_e=mu_e, planck_h=default.planck_h * w_scale)
         w, mu, hbar = constants.w_ev, constants.mu_e_ev_per_tesla, constants.hbar_evs
         advance = max(np.abs(np.diff(gap)).max()
                       for gap in hyperfine._gaps(w, mu * sweep._Grid(spec)[:]))
