@@ -3,7 +3,7 @@
 The engine redivides H = H0 + H1 into a diagonal part and a strictly
 off-diagonal coupling, sums correction terms over coupling paths, and
 compares the resulting transition probabilities against the exact
-spectral answer. The hyperfine subpackage carries the worked example: a
+spectral answer. The hyperfine module carries the worked example: a
 hydrogen ground-state atom in a constant magnetic field.
 """
 

@@ -32,7 +32,11 @@ whose text then has a two-digit exponent. A chunk holding text of another
 width (nan, inf, a three-digit exponent) is ``'%.16e'`` of every value,
 formatted whole. Files are written to a temporary file beside the
 destination and moved into place, once the directory has room for the
-smallest CSV the table could give.
+smallest CSV the table could give. A file the rename replaces is held open
+across it and closed on a daemon thread, so freeing its blocks overlaps
+the caller's next work; a one-shot process frees them at exit. The rename,
+its ordering after the new data, the failure paths and every byte are as
+they would be without the held file.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import os
 import shutil
 import stat
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -513,7 +518,15 @@ def _write_atomically(path, write, least: int) -> int:
     and move it into place, so a failure leaves any old file as it was.
     Fails with ENOSPC before creating anything when the directory has fewer
     than ``least`` bytes free. An existing non-regular destination (a FIFO,
-    /dev/stdout) is written in place, unchecked."""
+    /dev/stdout) is written in place, unchecked.
+
+    The file the rename replaces is held open across it and closed on a
+    daemon thread, so freeing its blocks overlaps the caller's next work
+    instead of stalling the rename; a process that exits first frees them
+    at exit. The rename still targets the existing name, so the filesystem
+    still orders the new data before it; a failure closes the held file and
+    leaves the old one in place. A target that cannot be held is replaced
+    as it stands."""
     target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode
@@ -532,16 +545,27 @@ def _write_atomically(path, write, least: int) -> int:
     except OSError as exc:
         exc.filename = os.fspath(path)  # name the destination, not the temporary
         raise
+    replaced = None  # the old file, held where POSIX lets a rename replace it open
     try:
         with open(descriptor, "wb") as handle:
             if mode is not None:
                 os.chmod(temporary, stat.S_IMODE(mode))
             written = write(handle)
+        if mode is not None and os.name == "posix":
+            with contextlib.suppress(OSError):  # never waits, should the name become a FIFO
+                replaced = os.open(target, os.O_RDONLY | os.O_NONBLOCK)
         os.replace(temporary, target)
     except BaseException:
+        if replaced is not None:
+            os.close(replaced)
         with contextlib.suppress(OSError):
             os.unlink(temporary)
         raise
+    if replaced is not None:
+        try:
+            threading.Thread(target=os.close, args=(replaced,), daemon=True).start()
+        except RuntimeError:  # no thread to be had: free the blocks here
+            os.close(replaced)
     return written
 
 
@@ -554,7 +578,9 @@ def emit_csv(table: SweepTable, destination) -> int:
     touching the destination, and wraps write errors in IoFailure. A path is
     written through a temporary file in the same directory, so a failed write
     leaves an existing file unchanged; it is refused up front when its
-    directory cannot hold 4 bytes per value ('nan' and a separator).
+    directory cannot hold 4 bytes per value ('nan' and a separator). The
+    file it replaces is closed on a background thread after the rename, so
+    the call returns before that file's blocks are freed.
     """
     count = len(table)
     if count == 0:

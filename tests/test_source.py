@@ -255,3 +255,18 @@ def test_every_import_is_used():
             if name not in used
         ]
     assert SOURCES and not unused, unused
+
+
+def test_the_one_thread_closes_the_replaced_csv():
+    # threads stay out of compute; the package's one thread is I/O: a daemon
+    # that closes the file a CSV rename replaced, so its blocks are freed
+    # while the caller goes on
+    assert callers("Thread") == [("sweep", "_write_atomically")]
+    path = Path(perturba.__file__).parent / "sweep.py"
+    (thread,) = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "Thread"
+    ]
+    keywords = {keyword.arg: ast.unparse(keyword.value) for keyword in thread.keywords}
+    assert keywords == {"target": "os.close", "args": "(replaced,)", "daemon": "True"}

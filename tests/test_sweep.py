@@ -1,7 +1,9 @@
 """Sweep grids, deviation tables, divergence report, and CSV emission."""
 
 import bisect
+import contextlib
 import dataclasses
+import errno
 import io
 import math
 import os
@@ -9,6 +11,7 @@ import shutil
 import stat
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -1549,6 +1552,88 @@ class TestAtomicCsvFile:
         assert emit_csv(table, target) == os.path.getsize(target)
         free.append(0)
         assert emit_csv(table, os.devnull) == emit_csv(table, io.StringIO())
+
+    @staticmethod
+    def open_inodes():
+        # (device, inode) of every file this process holds open; a magic
+        # link in /proc/self/fd resolves even to an unlinked file
+        found = set()
+        for fd in os.listdir("/proc/self/fd"):
+            with contextlib.suppress(OSError):
+                info = os.stat(f"/proc/self/fd/{fd}")
+                found.add((info.st_dev, info.st_ino))
+        return found
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_replaced_file_is_released_in_the_background(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        old = os.stat(target)
+        table = self.table(3 * sweep._CHUNK_ROWS)
+        written = emit_csv(table, target)
+        text = io.StringIO()
+        emit_csv(table, text)
+        assert target.read_bytes() == text.getvalue().encode("ascii")
+        assert os.path.getsize(target) == written
+        assert os.listdir(tmp_path) == ["out.csv"]
+        deadline = time.monotonic() + 5.0
+        while (old.st_dev, old.st_ino) in self.open_inodes():
+            assert time.monotonic() < deadline, "the replaced file is still open"
+            time.sleep(0.01)
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_an_unopenable_target_is_replaced_as_it_stands(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        os.chmod(target, 0o600)
+        os_open, tried = os.open, []
+
+        def refusing_target(path, flags, *args):
+            if os.fspath(path) == str(target):
+                tried.append(flags)
+                raise PermissionError(errno.EACCES, "Permission denied", path)
+            return os_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "open", refusing_target)
+        written = emit_csv(self.table(10), target)
+        assert tried == ([os.O_RDONLY | os.O_NONBLOCK] if os.name == "posix" else [])
+        assert os.path.getsize(target) == written
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_failed_rename_releases_the_held_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        old = os.stat(target)
+
+        def failing_replace(source, destination):
+            assert (old.st_dev, old.st_ino) in self.open_inodes()
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(IoFailure, match="cross-device"):
+            emit_csv(self.table(10), target)
+        assert target.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert (old.st_dev, old.st_ino) not in self.open_inodes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_without_a_thread_the_replaced_file_is_released_at_once(self, tmp_path,
+                                                                    monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        old = os.stat(target)
+
+        def refused(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        written = emit_csv(self.table(10), target)
+        assert os.path.getsize(target) == written
+        assert (old.st_dev, old.st_ino) not in self.open_inodes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_is_written_in_place(self, tmp_path):
