@@ -148,11 +148,12 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
 
-        emit_csv(table, args.out or sys.stdout)
+        out = None if args.out == "/dev/stdout" else args.out  # the stream: appended, not replaced
+        emit_csv(table, out or sys.stdout)
         if crossings is not None:
             for curve, crossing in zip(("traditional", "improved"), crossings):
                 print(f"first_crossing_{curve} = {crossing!r}",
-                      file=sys.stdout if args.out else sys.stderr)
+                      file=sys.stdout if out else sys.stderr)
         return 0
     except ValueError as exc:
         print(f"perturba: error: {exc}", file=sys.stderr)

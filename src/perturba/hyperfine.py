@@ -177,9 +177,9 @@ def _gaps(w: float, x):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _checked_gaps(constants: PhysicalConstants, b_field, t_max: float = 0.0):
-    """The curves' (exact, improved) gaps at fields ``b_field`` (tesla), x the float64
-    array ``_normalized_triple`` makes (0-d for a scalar), and the fastest rate max |gap| / hbar.
-    The one float64 rule: ValueError when that rate, or the phase fl(fl(max |gap| t_max) / hbar)
+    """The curves' (exact, improved) gaps at fields ``b_field`` (tesla), x the float64 array
+    ``_normalized_triple`` makes (0-d for a scalar), once the one float64 rule passes them:
+    ValueError when the fastest rate max |gap| / hbar, or the phase fl(fl(max |gap| t_max) / hbar)
     of |t| <= t_max, is not finite. No curve's rate or phase is larger: the exact gap is >= 2W,
     as 4W^2 underflows only where (4W)^3 = 0 and the improved gap is not finite."""
     b = np.asarray(b_field, dtype=np.float64)
@@ -187,7 +187,7 @@ def _checked_gaps(constants: PhysicalConstants, b_field, t_max: float = 0.0):
     gap, hbar = float(np.abs(gaps).max(initial=0.0)), constants.hbar_evs  # nan if any is
     if not (math.isfinite(gap / hbar) and math.isfinite(gap * t_max / hbar)):  # floats never warn
         raise ValueError(_LEAVE_FLOAT64.format(np.abs(b).max(initial=0.0), t_max))
-    return gaps, gap / hbar
+    return gaps
 
 
 def exact_eigensystem_closed_form(
@@ -211,7 +211,7 @@ def exact_eigensystem_closed_form(
     """
     w = config.constants.w_ev
     x = config.coupling_ev
-    s = float(_checked_gaps(config.constants, config.b_field)[0][0])
+    s = float(_checked_gaps(config.constants, config.b_field)[0])
     energies = np.array([w + x, -w + s, w - x, -w - s])
     vectors = np.eye(4)
     if x != 0.0:
@@ -240,7 +240,7 @@ def improved_energies_closed_form(config: HyperfineConfig) -> NDArray[np.float64
     """
     w = config.constants.w_ev
     x = config.coupling_ev
-    improved = _checked_gaps(config.constants, config.b_field)[0][1]
+    improved = _checked_gaps(config.constants, config.b_field)[1]
     return np.array([w + x, -w + improved, w - x, -w - improved])
 
 
@@ -252,7 +252,7 @@ def angular_rates(constants: PhysicalConstants, b_field):
     The traditional rate 2W/hbar does not depend on the field. A rate
     beyond float64 raises ``_checked_gaps``' ValueError, never a numpy warning.
     """
-    (exact, improved), _ = _checked_gaps(constants, b_field)
+    exact, improved = _checked_gaps(constants, b_field)
     hbar = constants.hbar_evs
     return exact / hbar, improved / hbar, 2.0 * constants.w_ev / hbar
 

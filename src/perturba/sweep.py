@@ -4,8 +4,8 @@
 grid: a ``_Grid`` computes any slice of the abscissas on demand, bit-equal
 to numpy's ``linspace`` or ``geomspace``, and is the one place the grid's
 geometry is written down. The table alone reads W, mu_e and hbar, refuses
-phases that leave float64, and keeps the gaps it checked and their fastest
-rate for the divergence certificate and ``aliasing_phase``. One walker
+phases that leave float64, and keeps the gaps it checked, which the
+divergence certificate and ``aliasing_phase`` read. One walker
 splits row ranges into chunks of at most ``_CHUNK_ROWS``, so neither
 ``emit_csv`` nor ``first_crossings`` holds more than one chunk.
 ``emit_csv`` takes whole chunks and evaluates each into the CSV's six
@@ -30,8 +30,8 @@ zero, the kernel whose rules the comment above its tables states, and by
 ``'%.16e'`` of |v| written into the field of a value outside that window,
 whose text then has a two-digit exponent. A chunk holding text of another
 width (nan, inf, a three-digit exponent) is ``'%.16e'`` of every value,
-formatted whole. Files are written to a temporary file beside the
-destination and moved into place, once the directory has room for the
+formatted whole. Regular files are written to a temporary file beside
+the destination and moved into place, once the directory has room for the
 smallest CSV the table could give. A file the rename replaces is held open
 across it and closed on a daemon thread, so freeing its blocks overlaps
 the caller's next work; a one-shot process frees them at exit. The rename,
@@ -170,11 +170,11 @@ class SweepTable:
     divergence walk reads; slices agree, as a row depends on its grid value
     alone. Only the constructor reads W, mu_e, hbar and a held x = B mu_e.
     It refuses (InvalidSweepSpec) by ``hyperfine._checked_gaps``' rule at the
-    spec's largest |t| and at the fields it checks, and keeps that one
-    evaluation of the gaps with its fastest rate: a time sweep checks its
-    held field, whose gaps the divergence certificate reads, and a field
-    sweep its range's ends, which hold the largest gaps (the improved peak
-    3W < exact 3.46W), and its last step, which ``aliasing_phase`` reads."""
+    spec's largest |t| and at the fields it checks, and keeps those gaps,
+    the one evaluation that ``aliasing_phase`` reads in both modes: a time
+    sweep checks its held field, whose gaps the divergence certificate reads,
+    and a field sweep its range's ends, which hold the largest gaps (the
+    improved peak 3W < exact 3.46W), and its last step."""
 
     def __init__(self, spec: SweepSpec, constants: PhysicalConstants = PhysicalConstants()):
         self.spec, self.constants, self.x = spec, constants, _Grid(spec)
@@ -182,7 +182,7 @@ class SweepTable:
         time = spec.mode == "time"
         b_fields, times = (held, ends) if time else ((spec.start, self.x[-2], spec.stop), held)
         try:
-            self._gaps, self._fastest = _checked_gaps(constants, b_fields, max(map(abs, times)))
+            self._gaps = _checked_gaps(constants, b_fields, max(map(abs, times)))
         except ValueError as refusal:
             raise InvalidSweepSpec(str(refusal)) from refusal
         self._w, self._mu = constants.w_ev, constants.mu_e_ev_per_tesla
@@ -193,20 +193,13 @@ class SweepTable:
     def aliasing_phase(self) -> float | None:
         """The phase (rad) by which one grid step advances the curves, if
         above pi/2 (under two samples per period of the fastest sin^2); else
-        None. For a time sweep it is the fastest rate times the widest grid
-        step, the first or the last; for a field sweep the bound of
-        ``_field_step_phase``."""
-        if self.spec.mode == "time":
-            phase = self._fastest * float(max(self.x[1] - self.x[0], self.x[-1] - self.x[-2]))
-        else:
-            phase = self._field_step_phase()
-        return phase if phase > math.pi / 2 else None
-
-    def _field_step_phase(self) -> float:
-        """A bound on the phase by which any step of a field sweep advances a
-        curve: on every step, |gap(B_i+1) - gap(B_i)| |t| / hbar as float64
-        computes it from the curves' gaps, exact or improved, stays below it.
-        The traditional curve does not move with B.
+        None. Both modes read top, the largest |gap| the table checked. For a
+        time sweep it is the fastest rate top / hbar times the widest grid
+        step, the first or the last. For a field sweep it bounds the phase by
+        which any step advances a curve: on every step, |gap(B_i+1) -
+        gap(B_i)| |t| / hbar as float64 computes it from the curves' gaps,
+        exact or improved, stays below it. The traditional curve does not
+        move with B.
 
         Where: in exact arithmetic no step advances a curve further than the
         last step advances one. Over a step of x = B mu_e a curve advances by
@@ -221,8 +214,8 @@ class SweepTable:
         step across z advances less than one of those.
 
         Rounding, with e = 2**-52 and T = 2W + x^2/4W + x^4/64W^3 at the last
-        row (T is at least the exact gap, and at most 5 top, top the largest
-        |gap| checked, which the last row holds):
+        row (T is at least the exact gap, and at most 5 top, which the last
+        row holds):
         - a computed row of x lies within r x_max of the exact one, r = 4e on
           a linear grid; a log grid's exponents err by 9.5 e Y, Y the larger
           |log10| of its ends, so there r = (22 Y + 4) e;
@@ -237,16 +230,19 @@ class SweepTable:
         advance exceeds 2 top; so the slack 80 r top + 168 e top, at most
         512 (1 + 4 Y) e top (Y = 0 on a linear grid), is added to the last
         step's larger advance."""
-        if self._w < 2.0**-257:
-            return math.inf
         curves = [gap.tolist() for gap in self._gaps]
-        advance = max(abs(gap[-1] - gap[-2]) for gap in curves)
-        top = max(abs(value) for gap in curves for value in gap)
-        spec = self.spec
-        decades = (max(abs(math.log10(spec.start)), abs(math.log10(spec.stop)))
-                   if spec.scale == "log" else 0.0)
-        slack = 512.0 * (1.0 + 4.0 * decades) * sys.float_info.epsilon * top
-        return (advance + slack) / self._hbar * abs(spec.fixed_value)
+        top, spec = max(abs(value) for gap in curves for value in gap), self.spec
+        if spec.mode == "time":
+            phase = top / self._hbar * float(max(self.x[1] - self.x[0], self.x[-1] - self.x[-2]))
+        elif self._w < 2.0**-257:
+            phase = math.inf
+        else:
+            advance = max(abs(gap[-1] - gap[-2]) for gap in curves)
+            decades = (max(abs(math.log10(spec.start)), abs(math.log10(spec.stop)))
+                       if spec.scale == "log" else 0.0)
+            slack = 512.0 * (1.0 + 4.0 * decades) * sys.float_info.epsilon * top
+            phase = (advance + slack) / self._hbar * abs(spec.fixed_value)
+        return phase if phase > math.pi / 2 else None
 
     def __len__(self) -> int:
         return len(self.x)
@@ -517,8 +513,9 @@ def _write_atomically(path, write, least: int) -> int:
     """Run ``write(binary_handle)`` against a temporary file beside ``path``
     and move it into place, so a failure leaves any old file as it was.
     Fails with ENOSPC before creating anything when the directory has fewer
-    than ``least`` bytes free. An existing non-regular destination (a FIFO,
-    /dev/stdout) is written in place, unchecked.
+    than ``least`` bytes free. A path that opens no regular file (a FIFO,
+    /dev/stdout's pipe) is written in place, unchecked: ``os.stat`` follows
+    its links, where the realpath of a pipe names nothing.
 
     The file the rename replaces is held open across it and closed on a
     daemon thread, so freeing its blocks overlaps the caller's next work
@@ -527,14 +524,14 @@ def _write_atomically(path, write, least: int) -> int:
     still orders the new data before it; a failure closes the held file and
     leaves the old one in place. A target that cannot be held is replaced
     as it stands."""
-    target = os.path.realpath(path)
     try:
-        mode = os.stat(target).st_mode
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "wb") as handle:
+        with open(path, "wb") as handle:
             return write(handle)
+    target = os.path.realpath(path)
     directory, name = os.path.split(target)
     temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
@@ -577,10 +574,11 @@ def emit_csv(table: SweepTable, destination) -> int:
     bit-exactly through the emitted text. Raises on an empty table before
     touching the destination, and wraps write errors in IoFailure. A path is
     written through a temporary file in the same directory, so a failed write
-    leaves an existing file unchanged; it is refused up front when its
-    directory cannot hold 4 bytes per value ('nan' and a separator). The
-    file it replaces is closed on a background thread after the rename, so
-    the call returns before that file's blocks are freed.
+    leaves an existing file unchanged; a FIFO, pipe or terminal is written in
+    place. It is refused up front when its directory cannot hold 4 bytes per
+    value ('nan' and a separator). The file it replaces is closed on a
+    background thread after the rename, so the call returns before that
+    file's blocks are freed.
     """
     count = len(table)
     if count == 0:

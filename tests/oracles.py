@@ -11,12 +11,14 @@ every product for each input, so the fast paths must match them bit for bit;
 so are ``redivide``, ``improved_energies`` and the exact transition as they
 were before they stopped repeating work that validation had already done,
 the first-order transitions' numpy-scalar arithmetic, and the divergence
-certificate's numpy form, before it read the sweep table's gaps. The
+certificate's numpy form, before it read the sweep table's gaps, and the
+aliasing phase's two methods, before one property read both modes. The
 hypothesis strategy the modules share for inputs across float64's range
 lives here too.
 """
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
@@ -344,6 +346,32 @@ def reference_safe_time(rate, floor, threshold):
     if not margin > 0.0:
         return -math.inf
     return math.asin(margin) / rate * (1.0 - 8 * eps) - 2.0**-1074
+
+
+def reference_aliasing_phase(table):
+    """``SweepTable.aliasing_phase`` as it was in two methods: a time sweep's
+    fastest rate kept apart, numpy's max |gap| over the table's checked gaps
+    divided by hbar, times the wider end step; a field sweep's bound in a
+    helper of its own."""
+    if table.spec.mode == "time":
+        fastest = float(np.abs(table._gaps).max(initial=0.0)) / table._hbar
+        phase = fastest * float(max(table.x[1] - table.x[0], table.x[-1] - table.x[-2]))
+    else:
+        phase = _reference_field_step_phase(table)
+    return phase if phase > math.pi / 2 else None
+
+
+def _reference_field_step_phase(table):
+    if table._w < 2.0**-257:
+        return math.inf
+    curves = [gap.tolist() for gap in table._gaps]
+    advance = max(abs(gap[-1] - gap[-2]) for gap in curves)
+    top = max(abs(value) for gap in curves for value in gap)
+    spec = table.spec
+    decades = (max(abs(math.log10(spec.start)), abs(math.log10(spec.stop)))
+               if spec.scale == "log" else 0.0)
+    slack = 512.0 * (1.0 + 4.0 * decades) * sys.float_info.epsilon * top
+    return (advance + slack) / table._hbar * abs(spec.fixed_value)
 
 
 def reference_csv_rows(rows):

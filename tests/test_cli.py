@@ -425,8 +425,8 @@ class TestAliasingWarning:
     def test_rates_are_read_once_per_field(self, monkeypatch, tmp_path, mode, fixed, calls):
         # the table checks the gaps of every field it holds in one call of
         # the float64 rule, a time sweep's held field or a field sweep's
-        # start and last step, and keeps them, and the fastest rate, for the
-        # certificate or the aliasing phase; sweep calls the rule nowhere
+        # start and last step, and keeps them for the certificate and the
+        # aliasing phase; sweep calls the rule nowhere
         # else (the curves evaluate their gaps inside hyperfine)
         evaluations = []
 
@@ -487,6 +487,40 @@ class TestModuleEntryPoint:
         env.pop(CONFIG_ENV_VAR, None)
         return subprocess.run([sys.executable, "-W", "error", "-m", "perturba.cli", *args],
                               env=env, capture_output=True, text=True, timeout=120)
+
+    #: the aliasing warning and both crossings leave stdout to the CSV
+    STDOUT_SWEEP = ("--mode", "time", "--fixed", "1e-3", "--start", "0", "--stop", "1e-8",
+                    "--samples", "4", "--threshold", "0.5")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_dev_stdout_into_a_pipe_equals_no_out(self):
+        # realpath("/dev/stdout") of a pipe names nothing, so the pipe was
+        # taken for a new file in /proc/<pid>/fd: exit 2, no CSV
+        piped = self.run(*self.STDOUT_SWEEP, "--out", "/dev/stdout")
+        plain = self.run(*self.STDOUT_SWEEP)
+        assert piped.returncode == plain.returncode == 0
+        assert piped.stdout.startswith(sweep.CSV_HEADER) and len(piped.stdout.splitlines()) == 5
+        assert (piped.stdout, piped.stderr) == (plain.stdout, plain.stderr)
+        assert piped.stderr.splitlines()[1:] == ["first_crossing_traditional = inf",
+                                                 "first_crossing_improved = inf"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_dev_stdout_appends_to_a_redirect(self, tmp_path):
+        # the rename replaced the file stdout appends to, and the crossing
+        # lines went to its old, unlinked inode
+        log = tmp_path / "log.csv"
+        log.write_text("earlier line\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(perturba.__file__).parents[1]))
+        env.pop(CONFIG_ENV_VAR, None)
+        with open(log, "a") as appended:
+            result = subprocess.run([sys.executable, "-W", "error", "-m", "perturba.cli",
+                                     *self.STDOUT_SWEEP, "--out", "/dev/stdout"], env=env,
+                                    stdout=appended, stderr=subprocess.PIPE, text=True,
+                                    timeout=120)
+        assert result.returncode == 0
+        assert log.read_text() == "earlier line\n" + self.run(*self.STDOUT_SWEEP).stdout
+        assert [line.split(" =")[0] for line in result.stderr.splitlines()[1:]] == [
+            "first_crossing_traditional", "first_crossing_improved"]
 
     def test_time_sweep_exits_zero(self):
         result = self.run("--mode", "time", "--fixed", "1e-3", "--start", "0",

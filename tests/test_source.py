@@ -137,8 +137,8 @@ def test_only_the_sweep_table_builds_a_grid():
 
 def test_only_the_sweep_table_reads_the_sweep_rates():
     # one float64 rule for the curves' gaps: hyperfine._checked_gaps evaluates
-    # them as the curves do, and refuses; the table keeps that evaluation and
-    # its fastest rate for the certificate and the aliasing phase. Every
+    # them as the curves do, and refuses; the table keeps that evaluation
+    # for the certificate and the aliasing phase. Every
     # public reader of the gaps refuses through it, no finiteness check
     # follows, and neither sweep nor the certificate evaluates a gap of its own
     assert callers("_checked_gaps") == [
@@ -270,3 +270,38 @@ def test_the_one_thread_closes_the_replaced_csv():
     ]
     keywords = {keyword.arg: ast.unparse(keyword.value) for keyword in thread.keywords}
     assert keywords == {"target": "os.close", "args": "(replaced,)", "daemon": "True"}
+
+
+def sweep_function(qualified):
+    """The ast of ``qualified`` (``name`` or ``Class.name``) in sweep.py."""
+    path = Path(perturba.__file__).parent / "sweep.py"
+    node = ast.parse(path.read_text(), filename=str(path))
+    for name in qualified.split("."):
+        (node,) = [child for child in node.body if getattr(child, "name", None) == name]
+    return node
+
+
+def test_the_sweep_table_keeps_one_gap_record():
+    # the table keeps its checked gaps and no value derived from them: the
+    # aliasing phase reads both modes from those gaps, and the certificate too
+    bound = {
+        target.attr
+        for node in ast.walk(sweep_function("SweepTable.__init__"))
+        if isinstance(node, ast.Assign)
+        for side in node.targets
+        for target in (side.elts if isinstance(side, ast.Tuple) else [side])
+        if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self"
+    }
+    assert bound == {"spec", "constants", "x", "_gaps", "_w", "_mu", "_hbar", "_held_x"}
+
+
+def test_the_csv_writer_classifies_the_path_it_was_given():
+    # os.stat follows /dev/stdout to the pipe or terminal it opens; the
+    # realpath of a pipe names nothing, so it only places a temporary file
+    calls = [
+        (node.lineno, node.func.attr, [ast.unparse(arg) for arg in node.args])
+        for node in ast.walk(sweep_function("_write_atomically"))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in {"stat", "realpath"}
+    ]
+    assert [(name, args) for _, name, args in sorted(calls)] == [("stat", ["path"]),
+                                                                 ("realpath", ["path"])]

@@ -9,6 +9,7 @@ import math
 import os
 import shutil
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -16,6 +17,7 @@ import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -429,7 +431,7 @@ def constants_and_field(b_field):
 def envelope_at(b_field):
     """The certificate of a time sweep held at ``b_field``, read as
     first_crossings reads it: from the gaps of the table's float64 rule."""
-    gaps, _ = hyperfine._checked_gaps(CONFIG.constants, (b_field,))
+    gaps = hyperfine._checked_gaps(CONFIG.constants, (b_field,))
     return hyperfine._deviation_envelope(*constants_and_field(b_field), gaps)
 
 
@@ -604,6 +606,29 @@ class TestAliasingPhase:
         phase = SweepTable(spec, constants).aliasing_phase
         assert advance <= (math.pi / 2 if phase is None else phase)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(time_specs(), field_specs()), st.one_of(st.just(0), st.integers(-102, 70)))
+    # W = 1.5e-80 eV, below 2**-257: a field sweep's phase is inf
+    @example(SweepSpec(mode="field", fixed_value=1.0, start=1e-4, stop=1e-2, samples=8), -74)
+    @example(SweepSpec(mode="time", fixed_value=1e-3, start=0.0, stop=1e-8, samples=64), -74)
+    def test_keeps_the_two_method_forms_bits(self, spec, w_decade):
+        # one property reads both modes from the gaps the table checked; it
+        # gives the bits of the fastest rate and the field-step helper it
+        # replaced, None included. W and hbar are 10^w_decade times the
+        # defaults, through planck_h, and mu_e with them, down to W = 1.5e-108
+        # eV, past the 2**-257 eV below which a field sweep reads inf
+        default = CONFIG.constants
+        w_scale = 10.0**w_decade
+        constants = PhysicalConstants(mu_e=default.mu_e * w_scale,
+                                      planck_h=default.planck_h * w_scale)
+        try:
+            table = SweepTable(spec, constants)
+        except InvalidSweepSpec:
+            reject()
+        phase, reference = table.aliasing_phase, oracles.reference_aliasing_phase(table)
+        assert (phase is None) == (reference is None)
+        assert phase is None or phase.hex() == reference.hex()
+
     def test_readme_field_sweep_reads_its_steepest_step(self):
         # the last step of the README's log field sweep at t = 1 s advances
         # the exact curve by 3.9e5 rad; the table's bound adds only the
@@ -769,7 +794,7 @@ class TestPrunedDivergence:
                                          stop=1e-9, samples=3))
             assert first_crossings(table, 2.0) == (math.inf, math.inf)  # walks no row
             table.deviation(0, 3, 1)
-            [(refusal, _)], [envelope] = checked, handed
+            [refusal], [envelope] = checked, handed
             assert envelope is refusal
             checked_bits, curves = improved
             if not checked_bits.hex() == float(refusal[1][0]).hex() == curves.hex():
@@ -1634,6 +1659,22 @@ class TestAtomicCsvFile:
         written = emit_csv(self.table(10), target)
         assert os.path.getsize(target) == written
         assert (old.st_dev, old.st_ino) not in self.open_inodes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_dev_stdout_of_a_pipe_is_written_in_place(self):
+        # os.stat follows /dev/stdout to the pipe; its realpath,
+        # /proc/<pid>/fd/pipe:[N], names nothing, and was taken for a new file
+        script = ("from perturba import SweepSpec, SweepTable, emit_csv\n"
+                  "spec = SweepSpec(mode='time', fixed_value=1e-3, start=0.0, stop=1e-6,"
+                  " samples=10)\n"
+                  "emit_csv(SweepTable(spec), '/dev/stdout')\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(sweep.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                                capture_output=True, timeout=120)
+        expected = io.StringIO()
+        emit_csv(self.table(10), expected)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.decode("ascii") == expected.getvalue()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_is_written_in_place(self, tmp_path):
